@@ -14,17 +14,16 @@ build instead of silently producing unusable artifacts.
 Usage:
     ci/check_artifact.py ARTIFACT.json [--timing-tolerance T] [--max-wall-ms W]
 
-`--timing-tolerance` applies to the two timing artifacts and is the
-timing-regression guard: for `cdg_incremental` it fails when the incremental
-CDG maintenance engine is slower than the full-rebuild reference by more
-than the given fraction (incremental/rebuild > 1 + T); for `fig_scale` it
-fails when the incremental SCC partition is slower than the full-Tarjan
-reference on the scaling grid (incremental/tarjan > 1 + T).
+`--timing-tolerance` applies to `cdg_incremental` and is its
+timing-regression guard: it fails when the incremental CDG maintenance
+engine is slower than the full-rebuild reference by more than the given
+fraction (incremental/rebuild > 1 + T).
 
-`--max-wall-ms` applies to `fig_faults` and guards the fault sweep's
-recorded wall time: live reconfiguration getting pathologically slower
-(e.g. the epoch protocol looping on its fallback) fails CI even when every
-logical invariant still holds.
+`--max-wall-ms` is an absolute wall-time bound.  For `fig_faults` it guards
+the fault sweep's recorded wall time: live reconfiguration getting
+pathologically slower (e.g. the epoch protocol looping on its fallback)
+fails CI even when every logical invariant still holds.  For `fig_scale` it
+guards the removal time summed over the scaling grid.
 
 `--min-attribution` applies to `noc_trace` artifacts (the Chrome-trace
 files `--trace` writes): fail when less than the given fraction of the
@@ -240,18 +239,18 @@ def check_cdg_incremental(data, timing_tolerance):
 SCALE_FAMILIES = ["mesh2d", "torus2d", "mesh3d", "torus3d", "fat-tree", "dragonfly"]
 
 
-def check_fig_scale(data, timing_tolerance):
+SCALE_SCHEMA = 2
+
+
+def check_fig_scale(data, max_total_ms):
     require_keys(
         data,
-        [
-            "runs_per_mode",
-            "strategy_switch_cap",
-            "total_incremental_ms",
-            "total_full_tarjan_ms",
-            "overall_speedup",
-            "points",
-        ],
+        ["scale_schema", "runs_per_point", "strategy_switch_cap", "total_removal_ms", "points"],
         "fig_scale data",
+    )
+    require(
+        data["scale_schema"] == SCALE_SCHEMA,
+        f"fig_scale payload layout {data['scale_schema']} != expected {SCALE_SCHEMA}",
     )
     points = data["points"]
     require(isinstance(points, list) and points, "fig_scale must contain timed grid points")
@@ -268,22 +267,14 @@ def check_fig_scale(data, timing_tolerance):
                 "flows",
                 "cycles_broken",
                 "added_vcs",
-                "incremental_scc_ms",
-                "full_tarjan_ms",
-                "incremental_scc_phases",
-                "full_tarjan_phases",
-                "speedup",
+                "removal_ms",
+                "phases",
                 "strategies",
             ],
             "fig_scale point",
         )
         where = f"fig_scale {point['family']} @ {point['switches']} switches"
-        check_phase_breakdown(
-            point["incremental_scc_phases"], point["incremental_scc_ms"], f"{where} inc-scc"
-        )
-        check_phase_breakdown(
-            point["full_tarjan_phases"], point["full_tarjan_ms"], f"{where} tarjan"
-        )
+        check_phase_breakdown(point["phases"], point["removal_ms"], where)
         require(
             point["family"] in SCALE_FAMILIES,
             f"{where}: unknown family; known: {SCALE_FAMILIES}",
@@ -344,18 +335,17 @@ def check_fig_scale(data, timing_tolerance):
         any(p["cycles_broken"] > 0 for p in points),
         "fig_scale grid has no cycle-heavy points — the timing would be vacuous",
     )
-    # The binary asserts outcome equality between the two SCC modes
-    # internally; here we guard the shape and, optionally, the timing.
-    if timing_tolerance is not None:
-        tarjan = data["total_full_tarjan_ms"]
-        incremental = data["total_incremental_ms"]
-        require(tarjan > 0.0, "fig_scale full-Tarjan total must be positive")
-        ratio = incremental / tarjan
+    total = sum(p["removal_ms"] for p in points)
+    require(
+        abs(data["total_removal_ms"] - total) <= 1e-6 * max(1.0, total),
+        f"fig_scale total_removal_ms {data['total_removal_ms']} is not the sum "
+        f"of the per-point removal times ({total})",
+    )
+    if max_total_ms is not None:
         require(
-            ratio <= 1.0 + timing_tolerance,
-            "timing regression: incremental SCC maintenance took "
-            f"{incremental:.2f} ms vs {tarjan:.2f} ms full Tarjan "
-            f"(ratio {ratio:.3f} > allowed {1.0 + timing_tolerance:.3f})",
+            data["total_removal_ms"] <= max_total_ms,
+            f"timing regression: removal over the scaling grid took "
+            f"{data['total_removal_ms']:.0f} ms (allowed {max_total_ms:.0f} ms)",
         )
 
 
@@ -888,14 +878,15 @@ def main():
         type=float,
         default=None,
         metavar="T",
-        help="for cdg_incremental / fig_scale: fail if the incremental-over-reference timing ratio exceeds 1 + T",
+        help="for cdg_incremental: fail if the incremental-over-reference timing ratio exceeds 1 + T",
     )
     parser.add_argument(
         "--max-wall-ms",
         type=float,
         default=None,
         metavar="W",
-        help="for fig_faults: fail if the recorded sweep wall time exceeds W milliseconds",
+        help="for fig_faults: fail if the recorded sweep wall time exceeds W milliseconds; "
+        "for fig_scale: fail if the summed removal time exceeds W milliseconds",
     )
     parser.add_argument(
         "--min-attribution",
@@ -924,9 +915,11 @@ def main():
         else:
             check = CHECKS.get(figure)
             require(check is not None, f"unknown figure name {figure!r}; known: {sorted(CHECKS)}")
-            # The second argument is the figure's guard option: the recorded
-            # wall-time bound for fig_faults, the timing ratio for the rest.
-            guard = args.max_wall_ms if figure == "fig_faults" else args.timing_tolerance
+            # The second argument is the figure's guard option: the absolute
+            # wall-time bound for fig_faults and fig_scale, the timing ratio
+            # for the rest.
+            absolute = figure in ("fig_faults", "fig_scale")
+            guard = args.max_wall_ms if absolute else args.timing_tolerance
             check(artifact["data"], guard)
     except CheckError as error:
         print(f"{args.artifact}: FAIL — {error}", file=sys.stderr)

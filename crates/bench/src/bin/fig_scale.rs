@@ -3,15 +3,14 @@
 //! switches, each with a seeded uniform-random workload routed by the
 //! deadlock-oblivious shortest-path router.
 //!
-//! Every point times `remove_deadlocks` under the incremental SCC partition
-//! (the default) and under full Tarjan per verification scan (the
-//! reference), asserting the two agree before trusting either number.
-//! Points at or below the strategy cap additionally chart the four-strategy
-//! VC-cost comparison.  Pass `--threads <n>` to shard the untimed
-//! generation/routing preparation (`0`, the default, auto-sizes to the
-//! machine's available parallelism; timing always runs serially) and
-//! `--json <path>` to write the rows plus aggregate speedups as a JSON
-//! artifact.
+//! Every point times `remove_deadlocks` (best of `SCALE_RUNS` runs) with
+//! a telemetry-attributed phase breakdown: CDG build, smallest-cycle
+//! search, Tarjan SCC passes and the rest.  Points at or below the strategy
+//! cap additionally chart the four-strategy VC-cost comparison.  Pass
+//! `--threads <n>` to shard the untimed generation/routing preparation
+//! (`0`, the default, auto-sizes to the machine's available parallelism;
+//! timing always runs serially) and `--json <path>` to write the rows plus
+//! the summed removal time as a JSON artifact.
 
 use noc_bench::artifact::FigureCli;
 use noc_bench::{scale_sweep, SCALE_RUNS, SCALE_STRATEGY_SWITCH_CAP};
@@ -23,11 +22,9 @@ fn main() {
         return;
     }
 
+    println!("# Removal scaling (best of {SCALE_RUNS} runs per point)");
     println!(
-        "# Removal scaling: incremental SCC vs. full Tarjan (best of {SCALE_RUNS} runs per mode)"
-    );
-    println!(
-        "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>12} {:>11} {:>8}",
+        "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>11} {:>9} {:>10} {:>8} {:>9}",
         "family",
         "switches",
         "links",
@@ -35,13 +32,15 @@ fn main() {
         "flows",
         "breaks",
         "vcs",
-        "inc_scc_ms",
-        "tarjan_ms",
-        "speedup"
+        "removal_ms",
+        "build_ms",
+        "search_ms",
+        "scc_ms",
+        "other_ms"
     );
     let data = scale_sweep(args.threads, |point| {
         println!(
-            "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>12.3} {:>11.3} {:>7.2}x",
+            "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>11.3} {:>9.3} {:>10.3} {:>8.3} {:>9.3}",
             point.family,
             point.switches,
             point.links,
@@ -49,31 +48,15 @@ fn main() {
             point.flows,
             point.cycles_broken,
             point.added_vcs,
-            point.incremental_scc_ms,
-            point.full_tarjan_ms,
-            point.speedup()
-        );
-        println!(
-            "{:>10}   phases: inc_scc build/search/scc/other = \
-             {:.3}/{:.3}/{:.3}/{:.3} ms, tarjan = {:.3}/{:.3}/{:.3}/{:.3} ms",
-            "",
-            point.incremental_scc_phases.build_ms,
-            point.incremental_scc_phases.search_ms,
-            point.incremental_scc_phases.scc_ms,
-            point.incremental_scc_phases.other_ms(),
-            point.full_tarjan_phases.build_ms,
-            point.full_tarjan_phases.search_ms,
-            point.full_tarjan_phases.scc_ms,
-            point.full_tarjan_phases.other_ms()
+            point.removal_ms,
+            point.phases.build_ms,
+            point.phases.search_ms,
+            point.phases.scc_ms,
+            point.phases.other_ms()
         );
     });
     println!();
-    println!(
-        "totals: full tarjan {:.1} ms, incremental scc {:.1} ms, overall speedup {:.2}x",
-        data.total_full_tarjan_ms,
-        data.total_incremental_ms,
-        data.overall_speedup()
-    );
+    println!("total removal time: {:.1} ms", data.total_removal_ms);
 
     println!();
     println!("# Strategy comparison (points up to {SCALE_STRATEGY_SWITCH_CAP} switches)");

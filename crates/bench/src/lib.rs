@@ -1383,8 +1383,8 @@ impl ToJson for ConservatismReport {
 
 // ---------------------------------------------------------------------------
 // Scaling sweep (`fig_scale`): synthetic topology families at 10²–10⁴
-// switches, timing the incremental-SCC cycle search against the full-Tarjan
-// reference and charting per-strategy VC cost on the smaller points.
+// switches, timing the removal loop phase by phase and charting
+// per-strategy VC cost on the smaller points.
 // ---------------------------------------------------------------------------
 
 /// One synthetic topology of the scaling grid: a generator family at a
@@ -1531,13 +1531,18 @@ pub const SCALE_GRID: [ScaleTopology; 11] = [
 /// Seed of the synthetic uniform-random workloads of the scaling grid.
 pub const SCALE_SEED: u64 = 0xD47E_2010;
 
-/// Timing runs per SCC mode per grid point; the best (minimum) is reported.
+/// Timing runs per grid point; the best (minimum) is reported.
 pub const SCALE_RUNS: usize = 2;
 
+/// Version of the `fig_scale` payload layout, written as its
+/// `scale_schema` field.  Version 1 timed two SCC modes side by side;
+/// version 2 reports one removal time and one phase breakdown per point.
+pub const SCALE_SCHEMA: usize = 2;
+
 /// Largest switch count on which the four-strategy comparison runs; beyond
-/// it only the two SCC modes of cycle breaking are timed (the escape and
-/// recovery baselines reroute flow-by-flow and would dominate the sweep's
-/// wall time without adding information about the cycle search).
+/// it only cycle breaking is timed (the escape and recovery baselines
+/// reroute flow-by-flow and would dominate the sweep's wall time without
+/// adding information about the cycle search).
 pub const SCALE_STRATEGY_SWITCH_CAP: usize = 1100;
 
 /// A generated, routed scaling design ready for deadlock removal.
@@ -1602,34 +1607,14 @@ pub struct ScalePoint {
     pub cycles_broken: usize,
     /// Extra VCs the removal algorithm added.
     pub added_vcs: usize,
-    /// Best-of-[`SCALE_RUNS`] removal time under the incremental SCC
-    /// partition, in milliseconds (wall time of
-    /// [`incremental_scc_phases`](Self::incremental_scc_phases)).
-    pub incremental_scc_ms: f64,
-    /// Best-of-[`SCALE_RUNS`] removal time under full Tarjan per
-    /// verification scan, in milliseconds (wall time of
-    /// [`full_tarjan_phases`](Self::full_tarjan_phases)).
-    pub full_tarjan_ms: f64,
-    /// Telemetry-attributed phase breakdown of the best incremental-SCC
-    /// run.
-    pub incremental_scc_phases: RemovalTiming,
-    /// Telemetry-attributed phase breakdown of the best full-Tarjan run.
-    pub full_tarjan_phases: RemovalTiming,
+    /// Best-of-[`SCALE_RUNS`] removal time, in milliseconds (wall time of
+    /// [`phases`](Self::phases)).
+    pub removal_ms: f64,
+    /// Telemetry-attributed phase breakdown of the best run.
+    pub phases: RemovalTiming,
     /// Four-strategy comparison rows (empty above
     /// [`SCALE_STRATEGY_SWITCH_CAP`]).
     pub strategies: Vec<ScaleStrategyOutcome>,
-}
-
-impl ScalePoint {
-    /// Full-Tarjan time over incremental-SCC time (>1 means the
-    /// incremental partition wins).
-    pub fn speedup(&self) -> f64 {
-        if self.incremental_scc_ms > 0.0 {
-            self.full_tarjan_ms / self.incremental_scc_ms
-        } else {
-            1.0
-        }
-    }
 }
 
 /// The full scaling sweep: per-point rows plus aggregate totals.
@@ -1637,27 +1622,13 @@ impl ScalePoint {
 pub struct ScaleArtifact {
     /// One row per [`SCALE_GRID`] entry, in grid order.
     pub points: Vec<ScalePoint>,
-    /// Sum of the incremental-SCC times, in milliseconds.
-    pub total_incremental_ms: f64,
-    /// Sum of the full-Tarjan times, in milliseconds.
-    pub total_full_tarjan_ms: f64,
-}
-
-impl ScaleArtifact {
-    /// Aggregate full-Tarjan over incremental-SCC time ratio.
-    pub fn overall_speedup(&self) -> f64 {
-        if self.total_incremental_ms > 0.0 {
-            self.total_full_tarjan_ms / self.total_incremental_ms
-        } else {
-            1.0
-        }
-    }
+    /// Sum of the per-point removal times, in milliseconds.
+    pub total_removal_ms: f64,
 }
 
 /// Phase breakdown of one `remove_deadlocks` call, attributed from the
 /// telemetry spans the removal loop emits: CDG (re)builds, cycle search
-/// (net of the SCC maintenance nested inside it), and SCC maintenance
-/// (incremental recomputes or the reference full Tarjan passes).  The
+/// (net of the SCC passes nested inside it), and the Tarjan SCC passes.  The
 /// timing binaries report these instead of ad-hoc stopwatch fields so the
 /// CI timing guards read numbers that are *attributed* to a phase, not a
 /// lump sum.
@@ -1671,7 +1642,7 @@ pub struct RemovalTiming {
     /// Time inside cycle searches excluding nested SCC work, in
     /// milliseconds.
     pub search_ms: f64,
-    /// Time inside SCC maintenance, in milliseconds.
+    /// Time inside Tarjan SCC passes, in milliseconds.
     pub scc_ms: f64,
 }
 
@@ -1737,58 +1708,34 @@ pub fn attributed_removal_run<T>(f: impl FnOnce() -> T) -> (RemovalTiming, T) {
     (timing, value)
 }
 
-/// Best-of-[`SCALE_RUNS`] timing of the removal under one SCC mode (by
-/// wall time), plus the report of the last run.
-fn time_scc_mode(
-    topology: &Topology,
-    routes: &RouteSet,
-    scc_mode: noc_deadlock::removal::SccMode,
-) -> (RemovalTiming, RemovalReport) {
-    let config = RemovalConfig {
-        scc_mode,
-        ..RemovalConfig::default()
-    };
+/// Times one prepared scaling design: best-of-[`SCALE_RUNS`] cycle
+/// breaking (by wall time) and, on points at or below
+/// [`SCALE_STRATEGY_SWITCH_CAP`] switches, the four-strategy comparison.
+///
+/// # Panics
+///
+/// Panics if a strategy fails.
+pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
     let mut best: Option<RemovalTiming> = None;
     let mut report = None;
     for _ in 0..SCALE_RUNS {
-        let mut topo = topology.clone();
-        let mut routes = routes.clone();
+        let mut topology = design.topology.clone();
+        let mut routes = design.routes.clone();
         let (timing, r) = attributed_removal_run(|| {
-            noc_deadlock::removal::remove_deadlocks(&mut topo, &mut routes, &config)
-                .expect("removal succeeds on the scaling grid")
+            noc_deadlock::removal::remove_deadlocks(
+                &mut topology,
+                &mut routes,
+                &RemovalConfig::default(),
+            )
+            .expect("removal succeeds on the scaling grid")
         });
         if best.is_none_or(|b| timing.wall_ms < b.wall_ms) {
             best = Some(timing);
         }
         report = Some(r);
     }
-    (
-        best.expect("at least one timing run"),
-        report.expect("at least one timing run"),
-    )
-}
-
-/// Times one prepared scaling design: both SCC modes of cycle breaking
-/// (asserting they agree before trusting either number) and, on points at
-/// or below [`SCALE_STRATEGY_SWITCH_CAP`] switches, the four-strategy
-/// comparison.
-///
-/// # Panics
-///
-/// Panics if the two SCC modes disagree or a strategy fails.
-pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
-    use noc_deadlock::removal::SccMode;
-
-    let (incremental_scc_phases, incremental_report) =
-        time_scc_mode(&design.topology, &design.routes, SccMode::Incremental);
-    let (full_tarjan_phases, full_report) =
-        time_scc_mode(&design.topology, &design.routes, SccMode::FullTarjan);
-    assert!(
-        incremental_report.same_outcome(&full_report),
-        "{}/{}: SCC modes disagree — timing numbers would be meaningless",
-        spec.family(),
-        spec.switch_count()
-    );
+    let phases = best.expect("at least one timing run");
+    let report = report.expect("at least one timing run");
 
     let mut strategies = Vec::new();
     if spec.switch_count() <= SCALE_STRATEGY_SWITCH_CAP {
@@ -1824,12 +1771,10 @@ pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
         links: design.topology.link_count(),
         channels: design.topology.channel_count(),
         flows: design.flows,
-        cycles_broken: incremental_report.cycles_broken,
-        added_vcs: incremental_report.added_vcs,
-        incremental_scc_ms: incremental_scc_phases.wall_ms,
-        full_tarjan_ms: full_tarjan_phases.wall_ms,
-        incremental_scc_phases,
-        full_tarjan_phases,
+        cycles_broken: report.cycles_broken,
+        added_vcs: report.added_vcs,
+        removal_ms: phases.wall_ms,
+        phases,
         strategies,
     }
 }
@@ -1851,12 +1796,10 @@ pub fn scale_sweep(threads: usize, mut observer: impl FnMut(&ScalePoint)) -> Sca
             point
         })
         .collect();
-    let total_incremental_ms = points.iter().map(|p| p.incremental_scc_ms).sum();
-    let total_full_tarjan_ms = points.iter().map(|p| p.full_tarjan_ms).sum();
+    let total_removal_ms = points.iter().map(|p| p.removal_ms).sum();
     ScaleArtifact {
         points,
-        total_incremental_ms,
-        total_full_tarjan_ms,
+        total_removal_ms,
     }
 }
 
@@ -1881,11 +1824,8 @@ impl ToJson for ScalePoint {
             .field("flows", &self.flows)
             .field("cycles_broken", &self.cycles_broken)
             .field("added_vcs", &self.added_vcs)
-            .field("incremental_scc_ms", &self.incremental_scc_ms)
-            .field("full_tarjan_ms", &self.full_tarjan_ms)
-            .field("incremental_scc_phases", &self.incremental_scc_phases)
-            .field("full_tarjan_phases", &self.full_tarjan_phases)
-            .field("speedup", &self.speedup())
+            .field("removal_ms", &self.removal_ms)
+            .field("phases", &self.phases)
             .field("strategies", &self.strategies)
             .finish();
     }
@@ -1894,11 +1834,10 @@ impl ToJson for ScalePoint {
 impl ToJson for ScaleArtifact {
     fn write_json(&self, out: &mut String) {
         ObjectWriter::new(out)
-            .field("runs_per_mode", &SCALE_RUNS)
+            .field("scale_schema", &SCALE_SCHEMA)
+            .field("runs_per_point", &SCALE_RUNS)
             .field("strategy_switch_cap", &SCALE_STRATEGY_SWITCH_CAP)
-            .field("total_incremental_ms", &self.total_incremental_ms)
-            .field("total_full_tarjan_ms", &self.total_full_tarjan_ms)
-            .field("overall_speedup", &self.overall_speedup())
+            .field("total_removal_ms", &self.total_removal_ms)
             .field("points", &self.points)
             .finish();
     }

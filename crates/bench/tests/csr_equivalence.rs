@@ -7,16 +7,16 @@
 //! sweep's smaller generator points.  For each design the mutable
 //! [`noc_graph::DiGraph`] and its [`noc_graph::CsrGraph`] freeze must agree
 //! on the smallest cycle (the canonical search order contract), the SCC
-//! partition, the knots, and hop distances — and the incrementally
-//! maintained SCC partition must match full Tarjan on the same graph.
+//! partition, the knots, and hop distances.
 
 use noc_bench::{random_routed_design, routed_benchmark, scale_design, sweeps, ScaleTopology};
 use noc_deadlock::cdg::Cdg;
-use noc_graph::{cycles, knots, scc, shortest_path, DiGraph, IncrementalScc, NodeId};
+use noc_graph::{cycles, knots, scc, shortest_path, DiGraph, NodeId};
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::Channel;
 
-/// Canonicalizes a Tarjan partition the way `IncrementalScc` reports it.
+/// Canonicalizes a Tarjan partition: members ascending within each
+/// component, components ordered by smallest member.
 fn canonical(mut comps: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     for c in &mut comps {
         c.sort();
@@ -25,8 +25,7 @@ fn canonical(mut comps: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     comps
 }
 
-/// Asserts DiGraph/CSR agreement plus incremental-SCC/Tarjan agreement on
-/// one CDG.
+/// Asserts DiGraph/CSR agreement on one CDG.
 fn assert_cdg_equivalence(graph: &DiGraph<Channel, Vec<noc_topology::FlowId>>, label: &str) {
     let frozen = graph.freeze();
     assert_eq!(
@@ -43,12 +42,6 @@ fn assert_cdg_equivalence(graph: &DiGraph<Channel, Vec<noc_topology::FlowId>>, l
         canonical(knots::knots(&frozen)),
         canonical(knots::knots(graph)),
         "{label}: knots differ between CSR and DiGraph"
-    );
-    let mut inc = IncrementalScc::new();
-    assert_eq!(
-        inc.components(graph).to_vec(),
-        canonical(scc::tarjan_scc(graph)),
-        "{label}: incremental SCC partition differs from full Tarjan"
     );
     if graph.node_count() > 0 {
         let src = graph.node_ids().next().expect("non-empty graph");

@@ -22,7 +22,7 @@
 //! the equivalence the incremental removal loop is tested against.
 
 use noc_graph::cycles::IncrementalCycleFinder;
-use noc_graph::{cycles, DiGraph, IncrementalScc, NodeId};
+use noc_graph::{cycles, DiGraph, NodeId};
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology};
 
@@ -240,26 +240,6 @@ impl Cdg {
     pub fn smallest_cycle_with(&self, finder: &mut IncrementalCycleFinder) -> Option<Vec<Channel>> {
         finder
             .smallest_cycle_by(&self.graph, |n| self.channel_of(n))
-            .map(|c| self.to_channels(c))
-    }
-
-    /// [`smallest_cycle_with`](Self::smallest_cycle_with) additionally
-    /// seeded by an incrementally maintained SCC partition: the candidate
-    /// pool of the finder's verification scan is restricted to the vertices
-    /// `scc` reports as lying on cycles, replacing the full Tarjan pass
-    /// inside the scan with a bounded dirty-region recompute.
-    ///
-    /// Callers must mirror every [`CdgDelta::touched_nodes`] dirty set into
-    /// `scc` (exactly as they do for `finder`) between structural updates;
-    /// the answer is then identical to [`smallest_cycle`](Self::smallest_cycle).
-    pub fn smallest_cycle_with_scc(
-        &self,
-        finder: &mut IncrementalCycleFinder,
-        scc: &mut IncrementalScc,
-    ) -> Option<Vec<Channel>> {
-        let pool = scc.cyclic_nodes(&self.graph);
-        finder
-            .smallest_cycle_by_with_pool(&self.graph, |n| self.channel_of(n), &pool)
             .map(|c| self.to_channels(c))
     }
 
@@ -615,20 +595,15 @@ mod tests {
     }
 
     #[test]
-    fn smallest_cycle_with_scc_matches_plain_query() {
+    fn smallest_cycle_with_finder_tracks_an_incremental_reroute() {
         use noc_graph::cycles::IncrementalCycleFinder;
-        use noc_graph::IncrementalScc;
         let (mut topo, mut routes) = figure_1_design();
         let mut cdg = Cdg::build(&topo, &routes);
         let mut finder = IncrementalCycleFinder::new();
-        let mut scc = IncrementalScc::new();
-        assert_eq!(
-            cdg.smallest_cycle_with_scc(&mut finder, &mut scc),
-            cdg.smallest_cycle()
-        );
+        assert_eq!(cdg.smallest_cycle_with(&mut finder), cdg.smallest_cycle());
 
         // Apply the Figure 3 reroute incrementally and mirror the dirty set
-        // into both the finder and the SCC partition.
+        // into the finder.
         let f3 = FlowId::from_index(2);
         let old: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
@@ -640,10 +615,9 @@ mod tests {
         cdg.add_flow_deps(f3, &new, &mut delta);
         for &node in delta.touched_nodes() {
             finder.mark_dirty(node);
-            scc.mark_dirty(node);
         }
         assert_eq!(cdg.smallest_cycle(), None);
-        assert_eq!(cdg.smallest_cycle_with_scc(&mut finder, &mut scc), None);
+        assert_eq!(cdg.smallest_cycle_with(&mut finder), None);
     }
 
     #[test]

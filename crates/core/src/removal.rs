@@ -20,7 +20,6 @@ use crate::cdg::{Cdg, CdgDelta};
 use crate::cost::{cost_table, CostTable, Direction};
 use crate::report::{BreakStep, CdgDeltaStats, RemovalReport};
 use noc_graph::cycles::IncrementalCycleFinder;
-use noc_graph::IncrementalScc;
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology, TopologyError};
 use std::collections::HashMap;
@@ -69,22 +68,6 @@ pub enum CdgMode {
     FullRebuild,
 }
 
-/// How the smallest-cycle search maintains the SCC partition it uses to
-/// narrow its candidate pool.  Only effective on the incremental CDG path
-/// (see [`CdgMode`]); the rebuild path always runs full Tarjan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SccMode {
-    /// Maintain the partition incrementally ([`noc_graph::IncrementalScc`]):
-    /// recompute only the dirty region around the vertices each cycle break
-    /// touched, falling back to full Tarjan when the region grows past the
-    /// bound.  The default — identical answers, bounded work per iteration.
-    #[default]
-    Incremental,
-    /// Run full Tarjan inside every verification scan — the reference path
-    /// the incremental partition is checked (and benchmarked) against.
-    FullTarjan,
-}
-
 /// Configuration of a removal run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovalConfig {
@@ -96,8 +79,6 @@ pub struct RemovalConfig {
     pub max_iterations: usize,
     /// CDG maintenance mode (default = incremental).
     pub cdg_mode: CdgMode,
-    /// SCC maintenance mode for the cycle search (default = incremental).
-    pub scc_mode: SccMode,
 }
 
 impl Default for RemovalConfig {
@@ -107,7 +88,6 @@ impl Default for RemovalConfig {
             cycle_order: CycleOrder::SmallestFirst,
             max_iterations: 100_000,
             cdg_mode: CdgMode::Incremental,
-            scc_mode: SccMode::Incremental,
         }
     }
 }
@@ -186,27 +166,16 @@ pub fn remove_deadlocks(
     // the configured mode.
     let incremental =
         config.cdg_mode == CdgMode::Incremental && config.cycle_order == CycleOrder::SmallestFirst;
-    let inc_scc = incremental && config.scc_mode == SccMode::Incremental;
     let mut removal_span = noc_telemetry::span("removal", "remove_deadlocks");
-    removal_span
-        .arg(
-            "cdg_mode",
-            if incremental {
-                "incremental"
-            } else {
-                "rebuild"
-            },
-        )
-        .arg(
-            "scc_mode",
-            if inc_scc {
-                "incremental"
-            } else {
-                "full_tarjan"
-            },
-        );
+    removal_span.arg(
+        "cdg_mode",
+        if incremental {
+            "incremental"
+        } else {
+            "rebuild"
+        },
+    );
     let mut finder = IncrementalCycleFinder::new();
-    let mut scc = IncrementalScc::new();
 
     // Step 2–3: build the CDG and look for an initial cycle.
     let mut cdg = {
@@ -216,9 +185,7 @@ pub fn remove_deadlocks(
     report.cdg.full_builds = 1;
     let mut cycle = {
         let _span = noc_telemetry::span("removal", "cycle_search");
-        if inc_scc {
-            cdg.smallest_cycle_with_scc(&mut finder, &mut scc)
-        } else if incremental {
+        if incremental {
             cdg.smallest_cycle_with(&mut finder)
         } else {
             select_cycle(&cdg, config.cycle_order)
@@ -315,7 +282,6 @@ pub fn remove_deadlocks(
             let dirty_nodes = touched.len();
             for &node in touched {
                 finder.mark_dirty(node);
-                scc.mark_dirty(node);
             }
             iter_span.arg("dirty_nodes", dirty_nodes);
             noc_telemetry::histogram("removal.dirty_region", dirty_nodes as u64);
@@ -326,11 +292,7 @@ pub fn remove_deadlocks(
                 dirty_nodes,
             });
             let _span = noc_telemetry::span("removal", "cycle_search");
-            if inc_scc {
-                cdg.smallest_cycle_with_scc(&mut finder, &mut scc)
-            } else {
-                cdg.smallest_cycle_with(&mut finder)
-            }
+            cdg.smallest_cycle_with(&mut finder)
         } else {
             cdg = {
                 let _span = noc_telemetry::span("removal", "cdg_build");
@@ -726,13 +688,13 @@ mod tests {
     const PINNED_ADDED_VCS: usize = 11;
 
     #[test]
-    fn incremental_scc_mode_matches_full_tarjan_mode() {
+    fn incremental_cdg_mode_matches_full_rebuild_mode() {
         for design in [figure_1_design(), double_crossing_design()] {
             let (mut topo_a, mut routes_a) = design.clone();
             let (mut topo_b, mut routes_b) = design;
             let inc = RemovalConfig::default();
             let full = RemovalConfig {
-                scc_mode: SccMode::FullTarjan,
+                cdg_mode: CdgMode::FullRebuild,
                 ..RemovalConfig::default()
             };
             let report_a = remove_deadlocks(&mut topo_a, &mut routes_a, &inc).unwrap();
@@ -747,7 +709,7 @@ mod tests {
                 .iter()
                 .map(|(_, r)| r.channels().to_vec())
                 .collect();
-            assert_eq!(a, b, "both SCC modes must produce identical routes");
+            assert_eq!(a, b, "both CDG modes must produce identical routes");
         }
     }
 

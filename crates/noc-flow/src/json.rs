@@ -739,13 +739,20 @@ impl<'a> Parser<'a> {
                     return Err(self.error("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run of unescaped bytes at once.  It ends
+                    // at an ASCII byte, which never occurs inside a UTF-8
+                    // multi-byte sequence, so the run is valid UTF-8 on its
+                    // own (input is a &str).
+                    let start = self.pos;
+                    while let Some(&byte) = self.bytes.get(self.pos) {
+                        if byte == b'"' || byte == b'\\' || byte < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .expect("input was a valid &str");
-                    let ch = rest.chars().next().expect("peek saw a byte");
-                    result.push(ch);
-                    self.pos += ch.len_utf8();
+                    result.push_str(run);
                 }
             }
         }

@@ -68,9 +68,7 @@ pub use json::{
 };
 pub use noc_deadlock::report::StrategyKind;
 pub use router::{Router, ShortestPathRouter, UpDownRouter, XyRouter};
-pub use stage::{
-    DeadlockFreeStage, DesignFlow, RoutedStage, SimulatedStage, SynthesizedStage, VcRunDetails,
-};
+pub use stage::{DeadlockFreeStage, DesignFlow, RoutedStage, SimulatedStage, SynthesizedStage};
 pub use strategy::{
     CycleBreaking, DeadlockResolution, DeadlockStrategy, EscapeChannel, RecoveryReconfig,
     ResourceOrdering,

@@ -219,10 +219,10 @@ fn stage_rejects_strategies_that_leave_cycles() {
     assert!(matches!(err, noc_flow::FlowError::StillCyclic(_)));
 }
 
-/// The VC-aware stage path: `simulate_vc` exposes the run through the
-/// common `SimOutcome` view plus `vc_details`, honouring the strategy's
-/// VC assignment; `simulate_vc_recovering` arms the DBR-style drain on a
-/// deadlock-prone routed design and still delivers everything.
+/// The VC-aware stage path: `simulate_vc` exposes the engine's full
+/// outcome, honouring the strategy's VC assignment; `simulate` is the same
+/// engine under `AssignedVc`; `simulate_vc_recovering` arms the DBR-style
+/// drain on a deadlock-prone routed design and still delivers everything.
 #[test]
 fn vc_aware_simulation_paths_work_end_to_end() {
     use noc_sim::{AssignedVc, SingleVc, TrafficConfig, VcSimConfig};
@@ -258,14 +258,15 @@ fn vc_aware_simulation_paths_work_end_to_end() {
         simulated.outcome().stats.delivered_packets,
         simulated.outcome().stats.injected_packets
     );
-    let details = simulated.vc_details().expect("vc path records details");
-    assert_eq!(details.policy, "assigned-vc");
-    assert!(details.detection.is_none());
-    assert_eq!(details.drain.events, 0);
+    let outcome = simulated.outcome();
+    assert_eq!(outcome.policy, "assigned-vc");
+    assert!(outcome.detection.is_none());
+    assert_eq!(outcome.drain.events, 0);
 
-    // The legacy engine path carries no VC details.
-    let legacy = fixed.simulate(&traffic).unwrap();
-    assert!(legacy.vc_details().is_none());
+    // The default simulation path is the same engine on the assigned VCs.
+    let default = fixed.simulate(&traffic).unwrap();
+    assert_eq!(default.outcome().policy, "assigned-vc");
+    assert!(!default.outcome().deadlocked);
 
     // The drain-armed run on the unrepaired design delivers everything.
     let recovered = routed

@@ -327,36 +327,6 @@ impl IncrementalCycleFinder {
         graph: &G,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
-        self.smallest_cycle_query(graph, rank, None)
-    }
-
-    /// [`smallest_cycle_by`](Self::smallest_cycle_by) with a caller-supplied
-    /// **pool**: a superset of the nodes that lie on cycles (in any order),
-    /// typically the members of the cyclic strongly-connected components as
-    /// maintained by [`IncrementalScc`](crate::inc_scc::IncrementalScc).
-    ///
-    /// The verification scan visits only the pool instead of re-running a
-    /// full Tarjan pass, which is what makes the removal loop's per-query
-    /// cost proportional to the dirty region.  The result is identical to
-    /// [`smallest_cycle_by`](Self::smallest_cycle_by) whenever the pool
-    /// really covers every node on a cycle (a node off every cycle can never
-    /// yield one, so a *superset* is always safe; a missing cyclic node
-    /// would be unsound, which the incremental SCC equivalence tests pin).
-    pub fn smallest_cycle_by_with_pool<G: GraphView, K: Ord>(
-        &mut self,
-        graph: &G,
-        rank: impl Fn(NodeId) -> K,
-        pool: &[NodeId],
-    ) -> Option<Vec<NodeId>> {
-        self.smallest_cycle_query(graph, rank, Some(pool))
-    }
-
-    fn smallest_cycle_query<G: GraphView, K: Ord>(
-        &mut self,
-        graph: &G,
-        rank: impl Fn(NodeId) -> K,
-        pool: Option<&[NodeId]>,
-    ) -> Option<Vec<NodeId>> {
         // 1. Candidates whose edges all survived still bound the answer.
         noc_telemetry::counter("cycles.queries", 1);
         self.candidates.retain(|cycle| cycle_is_live(graph, cycle));
@@ -386,10 +356,7 @@ impl IncrementalCycleFinder {
         }
 
         // 3. Exact global verification scan under the seeded bound.
-        let best = match pool {
-            Some(pool) => bounded_smallest_scan_over(graph, &rank, bound, pool.to_vec()),
-            None => bounded_smallest_scan(graph, &rank, bound),
-        };
+        let best = bounded_smallest_scan(graph, &rank, bound);
         if let Some(cycle) = &best {
             self.candidates.push(cycle.clone());
         }
@@ -424,27 +391,14 @@ fn bounded_smallest_scan<G: GraphView, K: Ord>(
     rank: &impl Fn(NodeId) -> K,
     bound: usize,
 ) -> Option<Vec<NodeId>> {
-    let nodes: Vec<NodeId> = {
+    let mut nodes: Vec<NodeId> = {
         let _span = noc_telemetry::span("scc", "full_tarjan");
         scc::cyclic_components(graph)
             .into_iter()
             .flatten()
             .collect()
     };
-    bounded_smallest_scan_over(graph, rank, bound, nodes)
-}
-
-/// The scan of [`bounded_smallest_scan`] over an explicit node pool (any
-/// superset of the nodes on cycles); the pool is rank-sorted here, so the
-/// outcome depends only on the pool *set*.
-fn bounded_smallest_scan_over<G: GraphView, K: Ord>(
-    graph: &G,
-    rank: &impl Fn(NodeId) -> K,
-    bound: usize,
-    mut nodes: Vec<NodeId>,
-) -> Option<Vec<NodeId>> {
     nodes.sort_by_key(|a| rank(*a));
-    nodes.dedup();
     let mut cap = bound;
     let mut best: Option<Vec<NodeId>> = None;
     for &node in &nodes {

@@ -11,8 +11,7 @@
 //! * [`CsrGraph`] — a frozen compressed-sparse-row view of a [`DiGraph`] for
 //!   cache-friendly read-only passes, abstracted over by [`GraphView`],
 //! * breadth-first and depth-first [`traversal`],
-//! * Tarjan strongly-connected components ([`scc`]), plus the incrementally
-//!   maintained partition ([`IncrementalScc`]),
+//! * Tarjan strongly-connected components ([`scc`]),
 //! * cycle search ([`cycles`]) including the per-vertex BFS "smallest cycle"
 //!   search used by the paper's `GetSmallestCycle`,
 //! * Dijkstra shortest paths ([`shortest_path`]),
@@ -43,7 +42,6 @@ pub mod csr;
 pub mod cycles;
 pub mod digraph;
 pub mod dot;
-pub mod inc_scc;
 pub mod knots;
 pub mod scc;
 pub mod shortest_path;
@@ -52,4 +50,3 @@ pub mod traversal;
 
 pub use csr::{CsrGraph, GraphView};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
-pub use inc_scc::{IncrementalScc, IncrementalSccStats};

@@ -1,9 +1,9 @@
 //! Exact runtime deadlock detection over a flit wait-for graph.
 //!
-//! The timeout heuristic of the original engine declares deadlock after *N*
-//! cycles without progress — a guess that is both slow (it must wait out
-//! the threshold) and blind to partial deadlocks (a stuck ring keeps the
-//! counter at zero as long as unrelated traffic still moves).  This module
+//! An idle-timeout heuristic declares deadlock after *N* cycles without
+//! progress — a guess that is both slow (it must wait out the threshold)
+//! and blind to partial deadlocks (a stuck ring keeps the counter at zero
+//! as long as unrelated traffic still moves).  This module
 //! decides the question exactly from a snapshot of the network state:
 //!
 //! * every **occupied channel** is a node; its head-of-line flit either can

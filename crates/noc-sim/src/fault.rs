@@ -17,7 +17,7 @@
 //! Remote Control's avoidance scheme (never let an unsafe configuration
 //! become active in the first place).
 
-use noc_graph::{DiGraph, IncrementalScc, NodeId};
+use noc_graph::{scc, DiGraph, NodeId};
 use noc_rng::SmallRng;
 use noc_topology::{FaultSet, LinkId, SwitchId, Topology};
 use std::collections::HashMap;
@@ -205,14 +205,12 @@ impl FaultPlan {
 /// refcounted "holding this channel, the worm next needs that one" pairs
 /// contributed by committed flow routes and, transiently during an epoch
 /// check, by the residual old-route segments of in-flight worms.  Acyclicity
-/// queries go through [`IncrementalScc`], so per-event cost scales with the
-/// dirty region a reconfiguration touched, not the whole graph.
+/// queries run Tarjan over the whole graph.
 #[derive(Debug)]
 pub(crate) struct DepGraph {
     graph: DiGraph<usize, ()>,
     nodes: Vec<NodeId>,
     refs: HashMap<(usize, usize), usize>,
-    scc: IncrementalScc,
 }
 
 impl DepGraph {
@@ -224,7 +222,6 @@ impl DepGraph {
             graph,
             nodes,
             refs: HashMap::new(),
-            scc: IncrementalScc::new(),
         }
     }
 
@@ -250,8 +247,6 @@ impl DepGraph {
         *count += 1;
         if *count == 1 {
             self.graph.add_edge(self.nodes[from], self.nodes[to], ());
-            self.scc.mark_dirty(self.nodes[from]);
-            self.scc.mark_dirty(self.nodes[to]);
         }
     }
 
@@ -271,17 +266,15 @@ impl DepGraph {
                 .find_edge(self.nodes[from], self.nodes[to])
                 .expect("refcounted edge exists in the graph");
             self.graph.remove_edge(edge);
-            self.scc.mark_dirty(self.nodes[from]);
-            self.scc.mark_dirty(self.nodes[to]);
         }
     }
 
     /// Dense channels on cycles (members of non-trivial SCCs), sorted.
-    pub fn cyclic_channels(&mut self) -> Vec<usize> {
-        let mut channels: Vec<usize> = self
-            .scc
-            .cyclic_nodes(&self.graph)
-            .iter()
+    pub fn cyclic_channels(&self) -> Vec<usize> {
+        let _span = noc_telemetry::span("scc", "full_tarjan");
+        let mut channels: Vec<usize> = scc::cyclic_components(&self.graph)
+            .into_iter()
+            .flatten()
             .map(|n| n.index())
             .collect();
         channels.sort_unstable();
@@ -289,7 +282,7 @@ impl DepGraph {
     }
 
     /// `true` when any dependency cycle exists.
-    pub fn is_cyclic(&mut self) -> bool {
+    pub fn is_cyclic(&self) -> bool {
         !self.cyclic_channels().is_empty()
     }
 }

@@ -20,19 +20,18 @@
 //! * routes are static per flow (table-based), exactly the routes the
 //!   deadlock analysis saw.
 //!
-//! Two engines share that model.  [`engine`] is the original VC-oblivious
-//! walker with timeout-based detection; [`vc_engine`] is the VC-fidelity
-//! subsystem: per-(link × VC) buffers sized from a strategy's
-//! [`VcMap`](noc_deadlock::vcmap::VcMap), explicit [`credit`]-based flow
-//! control, pluggable VC-allocation [`policy`]s (static assignment,
-//! Duato-adaptive escape, and a deliberately unsafe single-VC baseline),
-//! exact wait-for-graph deadlock [`detect`]ion, and an optional DBR-style
-//! dynamic drain onto a recovery routing function.
+//! The engine is [`vc_engine`]: per-(link × VC) buffers sized from a
+//! strategy's [`VcMap`](noc_deadlock::vcmap::VcMap), explicit
+//! [`credit`]-based flow control, pluggable VC-allocation [`policy`]s
+//! (static assignment, Duato-adaptive escape, and a deliberately unsafe
+//! single-VC baseline), exact wait-for-graph deadlock [`detect`]ion, and an
+//! optional DBR-style dynamic drain onto a recovery routing function.
 //!
 //! # Example
 //!
 //! ```
-//! use noc_sim::{SimConfig, Simulator, TrafficConfig};
+//! use noc_deadlock::vcmap::VcMap;
+//! use noc_sim::{AssignedVc, TrafficConfig, VcSimConfig, VcSimulator};
 //! use noc_topology::{generators, CommGraph, CoreMap};
 //! use noc_routing::shortest::route_all_shortest;
 //!
@@ -46,7 +45,9 @@
 //! map.assign(b, gen.switches[2])?;
 //! let routes = route_all_shortest(&gen.topology, &comm, &map)?;
 //!
-//! let mut sim = Simulator::new(&gen.topology, &comm, &routes, &SimConfig::default());
+//! let vc_map = VcMap::from_design(&gen.topology, &routes);
+//! let config = VcSimConfig::default();
+//! let mut sim = VcSimulator::new(&comm, &routes, &vc_map, &AssignedVc, &config);
 //! let outcome = sim.run(&TrafficConfig { packets_per_flow: 20, ..TrafficConfig::default() });
 //! assert!(outcome.stats.delivered_packets > 0);
 //! assert!(!outcome.deadlocked);
@@ -58,7 +59,6 @@
 
 pub mod credit;
 pub mod detect;
-pub mod engine;
 pub mod fault;
 pub mod packet;
 pub mod policy;
@@ -66,7 +66,6 @@ pub mod stats;
 pub mod traffic;
 pub mod vc_engine;
 
-pub use engine::{SimConfig, SimOutcome, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, StormConfig};
 pub use packet::{Flit, FlitKind, Packet, PacketId};
 pub use policy::{AdaptiveEscape, AssignedVc, SingleVc, VcChoice, VcPolicy};

@@ -1,14 +1,11 @@
 //! The VC-fidelity wormhole simulation engine.
 //!
-//! The original [`engine`](crate::engine) walks routes channel-by-channel
-//! and is faithful enough to *reproduce* deadlocks, but it takes the VC of
-//! every hop at face value and detects deadlock with an idle-timeout guess.
-//! This engine closes the remaining fidelity gaps:
+//! The engine walks routes hop by hop and models the properties that decide
+//! deadlock behaviour:
 //!
 //! * buffer space is one input buffer per **(physical link × VC)** sized
 //!   from the strategy's [`VcMap`], with
-//!   explicit credit-based flow control ([`crate::credit`]) instead of
-//!   buffer peeking;
+//!   explicit credit-based flow control ([`crate::credit`]);
 //! * which VC a head flit requests is a pluggable [`VcPolicy`]
 //!   ([`crate::policy`]): honour the strategy's static assignment, use it
 //!   adaptively Duato-style, or deliberately ignore it (the unsafe
@@ -469,41 +466,6 @@ impl<'a> VcSimulator<'a> {
                 let snapshot = self.wait_snapshot(&flow_queues);
                 let dead = snapshot.deadlocked_packets();
                 if !dead.is_empty() {
-                    if std::env::var_os("NOC_SIM_DEBUG_DETECT").is_some() {
-                        eprintln!("--- detection at cycle {cycle}: dead {dead:?}");
-                        for &p in &dead {
-                            let st = &self.packets[&p];
-                            eprintln!(
-                                "  {p}: flow {} links {:?} taken {:?} to_inject {} ejected {}",
-                                st.packet.flow,
-                                st.links,
-                                st.taken,
-                                st.to_inject.len(),
-                                st.ejected
-                            );
-                        }
-                        for (c, w) in snapshot.channels.iter().enumerate() {
-                            if let Some(w) = w {
-                                eprintln!(
-                                    "  ch{c} owner {:?} buf {:?}: hol {} can_move {} waits {:?}",
-                                    self.owner[c],
-                                    self.buffers[c]
-                                        .iter()
-                                        .map(|b| (b.flit.packet, b.flit.sequence, b.hop))
-                                        .collect::<Vec<_>>(),
-                                    w.packet,
-                                    w.can_move,
-                                    w.waits
-                                );
-                            }
-                        }
-                        for i in &snapshot.injections {
-                            eprintln!(
-                                "  inj {}: can_move {} waits {:?}",
-                                i.packet, i.can_move, i.waits
-                            );
-                        }
-                    }
                     if detection.is_none() {
                         // Attribute the first detection: the condemned flows
                         // and the channels their worms had claimed, for
@@ -1820,6 +1782,81 @@ mod tests {
     }
 
     #[test]
+    fn same_switch_flow_is_delivered_instantly() {
+        let generated = generators::chain(2, 1.0);
+        let mut comm = CommGraph::new();
+        let a = comm.add_core("a");
+        let b = comm.add_core("b");
+        comm.add_flow(a, b, 10.0);
+        let mut map = CoreMap::new(2);
+        map.assign(a, generated.switches[0]).unwrap();
+        map.assign(b, generated.switches[0]).unwrap();
+        let routes = route_all_shortest(&generated.topology, &comm, &map).unwrap();
+        let vc_map = VcMap::from_design(&generated.topology, &routes);
+        let config = VcSimConfig::default();
+        let outcome = VcSimulator::new(&comm, &routes, &vc_map, &AssignedVc, &config)
+            .run(&TrafficConfig::default());
+        assert_eq!(
+            outcome.stats.delivered_packets,
+            outcome.stats.injected_packets
+        );
+        assert!(!outcome.deadlocked);
+    }
+
+    #[test]
+    fn cyclic_ring_under_pressure_deadlocks() {
+        // Before removal every hop is assigned VC 0, so honouring the
+        // assignment is no protection: the cyclic CDG deadlocks.
+        let (topo, comm, routes) = figure_1_ring();
+        let vc_map = VcMap::from_design(&topo, &routes);
+        let config = VcSimConfig {
+            buffer_depth: 1,
+            idle_timeout: 200,
+            max_cycles: 100_000,
+            ..VcSimConfig::default()
+        };
+        let outcome = VcSimulator::new(&comm, &routes, &vc_map, &AssignedVc, &config)
+            .run(&pressure_traffic());
+        assert!(
+            outcome.deadlocked,
+            "the cyclic CDG design must deadlock under pressure"
+        );
+        assert!(outcome.stranded_packets > 0);
+    }
+
+    #[test]
+    fn larger_buffers_reduce_latency_under_contention() {
+        let generated = generators::chain(5, 1.0);
+        let mut comm = CommGraph::new();
+        let cores: Vec<_> = (0..5).map(|i| comm.add_core(format!("c{i}"))).collect();
+        // Several flows sharing the same chain links.
+        comm.add_flow(cores[0], cores[4], 100.0);
+        comm.add_flow(cores[1], cores[4], 100.0);
+        comm.add_flow(cores[0], cores[3], 100.0);
+        let mut map = CoreMap::new(5);
+        for (i, &c) in cores.iter().enumerate() {
+            map.assign(c, generated.switches[i]).unwrap();
+        }
+        let routes = route_all_shortest(&generated.topology, &comm, &map).unwrap();
+        let vc_map = VcMap::from_design(&generated.topology, &routes);
+        let traffic = TrafficConfig {
+            packets_per_flow: 30,
+            packet_length: 4,
+            ..TrafficConfig::default()
+        };
+        let run = |buffer_depth| {
+            let config = VcSimConfig {
+                buffer_depth,
+                ..VcSimConfig::default()
+            };
+            VcSimulator::new(&comm, &routes, &vc_map, &AssignedVc, &config).run(&traffic)
+        };
+        let (small, large) = (run(1), run(8));
+        assert!(!small.deadlocked && !large.deadlocked);
+        assert!(large.stats.cycles <= small.stats.cycles);
+    }
+
+    #[test]
     fn unsafe_ring_deadlocks_and_the_exact_detector_names_the_knot() {
         let (topo, comm, routes) = figure_1_ring();
         let vc_map = VcMap::from_design(&topo, &routes);
@@ -1904,6 +1941,34 @@ mod tests {
         let mut unsafe_sim = VcSimulator::new(&comm, &routes, &vc_map, &SingleVc, &config);
         let unsafe_outcome = unsafe_sim.run(&pressure_traffic());
         assert!(unsafe_outcome.deadlocked);
+    }
+
+    #[test]
+    fn removal_fixed_ring_does_not_deadlock() {
+        // The Figure 1 ring after the deadlock-removal algorithm, caught by
+        // the idle timeout alone if the repair were wrong.
+        let (mut topo, comm, mut routes) = figure_1_ring();
+        noc_deadlock::removal::remove_deadlocks(
+            &mut topo,
+            &mut routes,
+            &noc_deadlock::removal::RemovalConfig::default(),
+        )
+        .unwrap();
+        let vc_map = VcMap::from_design(&topo, &routes);
+        let config = VcSimConfig {
+            buffer_depth: 1,
+            idle_timeout: 200,
+            max_cycles: 200_000,
+            ..VcSimConfig::default()
+        };
+        let outcome = VcSimulator::new(&comm, &routes, &vc_map, &AssignedVc, &config)
+            .run(&pressure_traffic());
+        assert!(!outcome.deadlocked);
+        assert_eq!(
+            outcome.stats.delivered_packets,
+            outcome.stats.injected_packets
+        );
+        assert_eq!(outcome.stranded_packets, 0);
     }
 
     #[test]
@@ -2374,6 +2439,25 @@ mod tests {
             .route_mut(FlowId::from_index(0))
             .unwrap()
             .channels_mut()[0] = noc_topology::Channel::new(LinkId::from_index(0), 9);
+        let _ = VcSimulator::new(
+            &comm,
+            &routes,
+            &vc_map,
+            &AssignedVc,
+            &VcSimConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown channel")]
+    fn routes_with_unknown_channels_are_rejected() {
+        // A link the topology (and so the VC map) does not have at all.
+        let (topo, comm, mut routes) = line_design();
+        let vc_map = VcMap::from_design(&topo, &routes);
+        routes
+            .route_mut(FlowId::from_index(0))
+            .unwrap()
+            .channels_mut()[0] = noc_topology::Channel::new(LinkId::from_index(99), 0);
         let _ = VcSimulator::new(
             &comm,
             &routes,

@@ -3,13 +3,14 @@
 //!
 //! Four flows chase each other around a unidirectional ring (the paper's
 //! Figure 1 configuration).  With small buffers and multi-flit packets the
-//! simulation stalls permanently; after the removal algorithm adds one VC
-//! and re-routes one flow, the same workload finishes.
+//! simulation stalls permanently and the exact wait-for-graph detector names
+//! the deadlock; after the removal algorithm adds one VC and re-routes one
+//! flow, the same workload finishes on the assigned VCs.
 //!
 //! Run with `cargo run --example ring_deadlock`.
 
 use noc_suite::flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
-use noc_suite::sim::{SimConfig, TrafficConfig};
+use noc_suite::sim::{TrafficConfig, VcSimConfig};
 use noc_suite::topology::{generators, CommGraph, CoreMap};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,10 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_design(generated.topology, core_map)?
         .route(&ShortestPathRouter::default())?;
 
-    let sim_config = SimConfig {
+    let sim_config = VcSimConfig {
         buffer_depth: 1,
-        deadlock_threshold: 300,
+        idle_timeout: 300,
         max_cycles: 100_000,
+        ..VcSimConfig::default()
     };
     let traffic = TrafficConfig {
         packets_per_flow: 16,
@@ -54,6 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.stats.injected_packets,
         outcome.stranded_packets
     );
+    if let Some(event) = outcome.detection {
+        println!("detected by {} at cycle {}", event.kind.name(), event.cycle);
+    }
 
     let fixed = routed.resolve_deadlocks(&CycleBreaking::default())?;
     println!(

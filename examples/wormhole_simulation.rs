@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example wormhole_simulation`.
 
 use noc_suite::flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
-use noc_suite::sim::{SimConfig, TrafficConfig};
+use noc_suite::sim::{TrafficConfig, VcSimConfig};
 use noc_suite::synth::SynthesisConfig;
 use noc_suite::topology::benchmarks::Benchmark;
 
@@ -26,10 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(cycle) => println!("input routing can deadlock ({cycle})"),
     }
 
-    let sim_config = SimConfig {
+    let sim_config = VcSimConfig {
         buffer_depth: 2,
-        deadlock_threshold: 1_000,
+        idle_timeout: 1_000,
         max_cycles: 500_000,
+        ..VcSimConfig::default()
     };
     let traffic = TrafficConfig {
         packets_per_flow: 4,

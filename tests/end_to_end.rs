@@ -8,7 +8,7 @@ use noc_suite::flow::{
     ShortestPathRouter,
 };
 use noc_suite::power::TechParams;
-use noc_suite::sim::{SimConfig, TrafficConfig};
+use noc_suite::sim::{TrafficConfig, VcSimConfig};
 use noc_suite::synth::SynthesisConfig;
 use noc_suite::topology::benchmarks::Benchmark;
 
@@ -82,10 +82,11 @@ fn repaired_designs_complete_a_simulated_workload() {
         .resolve_deadlocks(&CycleBreaking::default())
         .unwrap()
         .simulate_with(
-            &SimConfig {
+            &VcSimConfig {
                 buffer_depth: 2,
-                deadlock_threshold: 1_000,
+                idle_timeout: 1_000,
                 max_cycles: 500_000,
+                ..VcSimConfig::default()
             },
             &TrafficConfig {
                 packets_per_flow: 3,
