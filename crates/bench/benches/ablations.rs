@@ -1,7 +1,5 @@
-//! Ablation benches for the design choices the paper asserts:
-//!
-//! * smallest-cycle-first versus other cycle orders,
-//! * checking both break directions versus forward-only / backward-only.
+//! Ablation bench for a design choice the paper asserts: checking both
+//! break directions versus forward-only / backward-only.
 //!
 //! The measured quantity is runtime; the printed summary reports the VC cost
 //! of each variant, which is the number the paper's heuristics are meant to
@@ -9,13 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_bench::{run_removal, synthesize_benchmark};
-use noc_deadlock::removal::{CycleOrder, DirectionPolicy, RemovalConfig};
+use noc_deadlock::removal::{DirectionPolicy, RemovalConfig};
 use noc_topology::benchmarks::Benchmark;
 
 fn ablations(c: &mut Criterion) {
     let design = synthesize_benchmark(Benchmark::D36x8, 14).expect("synthesis succeeds");
 
-    let variants: [(&str, RemovalConfig); 5] = [
+    let variants: [(&str, RemovalConfig); 3] = [
         ("paper_default", RemovalConfig::default()),
         (
             "forward_only",
@@ -28,20 +26,6 @@ fn ablations(c: &mut Criterion) {
             "backward_only",
             RemovalConfig {
                 direction: DirectionPolicy::BackwardOnly,
-                ..RemovalConfig::default()
-            },
-        ),
-        (
-            "largest_cycle_first",
-            RemovalConfig {
-                cycle_order: CycleOrder::LargestFirst,
-                ..RemovalConfig::default()
-            },
-        ),
-        (
-            "first_found_cycle",
-            RemovalConfig {
-                cycle_order: CycleOrder::FirstFound,
                 ..RemovalConfig::default()
             },
         ),

@@ -1,6 +1,7 @@
 //! Timing comparison of the two CDG maintenance modes of the removal loop:
 //! per-iteration full rebuild (the reference) versus incremental delta
-//! maintenance with the dirty-region smallest-cycle search (the default).
+//! maintenance (the default).  Both modes share one smallest-cycle search
+//! and differ only in how the CDG is kept up to date between breaks.
 //!
 //! Runs the Figure 8 (D26_media) and Figure 9 (D36_8) sweep grids, times
 //! `remove_deadlocks` in both modes on the same routed design, and asserts
@@ -97,8 +98,10 @@ fn time_mode(
     let mut best: Option<RemovalTiming> = None;
     let mut report = None;
     for _ in 0..RUNS {
-        let mut topo = topology.clone();
-        let mut routes = routes.clone();
+        let (mut topo, mut routes) = {
+            let _span = noc_telemetry::span("timing", "clone_design");
+            (topology.clone(), routes.clone())
+        };
         let (timing, r) = attributed_removal_run(|| {
             remove_deadlocks(&mut topo, &mut routes, &config).expect("removal succeeds")
         });
@@ -148,10 +151,13 @@ fn main() {
     for ((benchmark, switches), (topology, routes)) in grid.iter().zip(designs) {
         let (rebuild, rebuild_report) = time_mode(&topology, &routes, CdgMode::FullRebuild);
         let (incremental, incremental_report) = time_mode(&topology, &routes, CdgMode::Incremental);
-        assert!(
-            incremental_report.same_outcome(&rebuild_report),
-            "{benchmark}/{switches}: modes disagree — timing numbers would be meaningless"
-        );
+        {
+            let _span = noc_telemetry::span("timing", "same_outcome");
+            assert!(
+                incremental_report.same_outcome(&rebuild_report),
+                "{benchmark}/{switches}: modes disagree — timing numbers would be meaningless"
+            );
+        }
         let point = TimingPoint {
             benchmark: *benchmark,
             switch_count: *switches,

@@ -1675,6 +1675,9 @@ pub fn attributed_removal_run<T>(f: impl FnOnce() -> T) -> (RemovalTiming, T) {
     let enter = span.enter_seq().expect("recorder is installed");
     let value = f();
     drop(span);
+    // Copying the recording and scanning it grows with everything traced
+    // so far, so it is a phase of its own in a `--trace` session.
+    let _attribute = noc_telemetry::span("timing", "attribute_run");
     let snapshot = recorder.snapshot();
     let run = snapshot
         .spans

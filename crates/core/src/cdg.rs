@@ -13,15 +13,15 @@
 //! re-routes.  [`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`] apply
 //! exactly that per-flow delta: they maintain the per-edge flow multiset and
 //! drop/create dependency edges as flows leave/enter channel pairs, while a
-//! [`CdgDelta`] records which vertices were touched (the *dirty region* the
-//! incremental cycle search seeds from) and how many dependencies changed.
+//! [`CdgDelta`] records how many dependencies changed and which vertices
+//! they touched (a diagnostic; the next cycle query does not read it).
 //!
-//! All cycle queries rank vertices by their [`Channel`] (not by internal
-//! node id), so an incrementally maintained CDG answers every query
+//! There is one cycle query, [`Cdg::smallest_cycle`], a from-scratch scan
+//! of the current graph.  It ranks vertices by their [`Channel`] (not by
+//! internal node id), so an incrementally maintained CDG answers it
 //! identically to a freshly rebuilt one over the same topology and routes —
 //! the equivalence the incremental removal loop is tested against.
 
-use noc_graph::cycles::IncrementalCycleFinder;
 use noc_graph::{cycles, DiGraph, NodeId};
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology};
@@ -55,7 +55,7 @@ pub struct CdgDelta {
 
 impl CdgDelta {
     /// The deduplicated, sorted set of vertices incident to changed edges —
-    /// the dirty region to seed the next smallest-cycle query from.
+    /// the region of the graph this update could have changed.
     pub fn touched_nodes(&mut self) -> &[NodeId] {
         self.touched.sort();
         self.touched.dedup();
@@ -149,7 +149,7 @@ impl Cdg {
     /// *before* a re-route) contributed for `flow`: the flow leaves the
     /// multiset of every consecutive pair, and a dependency edge whose last
     /// flow leaves is removed from the graph (its endpoints join the delta's
-    /// dirty region).
+    /// touched set).
     ///
     /// Pairs the flow does not actually sit on are skipped, which makes the
     /// call idempotent and lets routes that cross the same pair twice be
@@ -182,7 +182,7 @@ impl Cdg {
 
     /// Adds the dependencies the route `channels` (the flow's route *after*
     /// a re-route) contributes for `flow`.  Newly created dependency edges
-    /// join the delta's dirty region; pairs that already carry other flows
+    /// join the delta's touched set; pairs that already carry other flows
     /// only gain a multiset entry and leave the cycle structure untouched.
     pub fn add_flow_deps(&mut self, flow: FlowId, channels: &[Channel], delta: &mut CdgDelta) {
         for pair in channels.windows(2) {
@@ -232,18 +232,7 @@ impl Cdg {
         cycles::smallest_cycle_by(&self.graph, |n| self.channel_of(n)).map(|c| self.to_channels(c))
     }
 
-    /// [`smallest_cycle`](Self::smallest_cycle) through an
-    /// [`IncrementalCycleFinder`], which prunes the search using candidate
-    /// cycles cached from earlier queries and the dirty region reported via
-    /// [`CdgDelta::touched_nodes`].  The answer is always identical to the
-    /// unseeded search; only the work to find it shrinks.
-    pub fn smallest_cycle_with(&self, finder: &mut IncrementalCycleFinder) -> Option<Vec<Channel>> {
-        finder
-            .smallest_cycle_by(&self.graph, |n| self.channel_of(n))
-            .map(|c| self.to_channels(c))
-    }
-
-    /// The channel ranking shared by all cycle queries.
+    /// The channel ranking of the cycle query.
     fn channel_of(&self, node: NodeId) -> Channel {
         *self.graph.node_weight(node).expect("cycle nodes are valid")
     }
@@ -251,20 +240,6 @@ impl Cdg {
     /// Maps a node cycle back to the channel list the removal loop works on.
     fn to_channels(&self, cycle: Vec<NodeId>) -> Vec<Channel> {
         cycle.into_iter().map(|n| self.channel_of(n)).collect()
-    }
-
-    /// Returns all simple cycles up to `limit`, as channel lists (used by the
-    /// cycle-order ablation and diagnostics).
-    pub fn cycles(&self, limit: usize) -> Vec<Vec<Channel>> {
-        cycles::enumerate_cycles(&self.graph, limit)
-            .into_iter()
-            .map(|cycle| {
-                cycle
-                    .into_iter()
-                    .map(|n| *self.graph.node_weight(n).expect("cycle nodes are valid"))
-                    .collect()
-            })
-            .collect()
     }
 
     /// The flows responsible for the dependency `from -> to`, if that edge
@@ -454,15 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_enumeration_reports_the_ring_cycle_once() {
-        let (topo, routes) = figure_1_design();
-        let cdg = Cdg::build(&topo, &routes);
-        let cycles = cdg.cycles(16);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 4);
-    }
-
-    #[test]
     fn dependencies_iterator_matches_counts() {
         let (topo, routes) = figure_1_design();
         let cdg = Cdg::build(&topo, &routes);
@@ -584,26 +550,13 @@ mod tests {
     }
 
     #[test]
-    fn smallest_cycle_with_finder_matches_plain_query() {
-        use noc_graph::cycles::IncrementalCycleFinder;
-        let (topo, routes) = figure_1_design();
-        let cdg = Cdg::build(&topo, &routes);
-        let mut finder = IncrementalCycleFinder::new();
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), cdg.smallest_cycle());
-        // A second query against unchanged state must agree too.
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), cdg.smallest_cycle());
-    }
-
-    #[test]
-    fn smallest_cycle_with_finder_tracks_an_incremental_reroute() {
-        use noc_graph::cycles::IncrementalCycleFinder;
+    fn smallest_cycle_follows_an_incremental_reroute() {
         let (mut topo, mut routes) = figure_1_design();
         let mut cdg = Cdg::build(&topo, &routes);
-        let mut finder = IncrementalCycleFinder::new();
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), cdg.smallest_cycle());
+        assert_eq!(cdg.smallest_cycle().map(|c| c.len()), Some(4));
 
-        // Apply the Figure 3 reroute incrementally and mirror the dirty set
-        // into the finder.
+        // Apply the Figure 3 reroute incrementally: the next query must see
+        // the patched graph without any hint about where it changed.
         let f3 = FlowId::from_index(2);
         let old: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
@@ -613,11 +566,7 @@ mod tests {
         cdg.register_channel(new_channel, &mut delta);
         cdg.remove_flow_deps(f3, &old, &mut delta);
         cdg.add_flow_deps(f3, &new, &mut delta);
-        for &node in delta.touched_nodes() {
-            finder.mark_dirty(node);
-        }
         assert_eq!(cdg.smallest_cycle(), None);
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), None);
     }
 
     #[test]

@@ -9,17 +9,16 @@
 //! The CDG update is incremental by default ([`CdgMode::Incremental`]): a
 //! break only changes the dependencies of the flows it re-routed, so the
 //! loop applies exactly those deltas ([`Cdg::remove_flow_deps`] /
-//! [`Cdg::add_flow_deps`]) and seeds the next smallest-cycle query from the
-//! touched vertices, instead of rebuilding the whole graph from scratch
-//! every iteration.  [`CdgMode::FullRebuild`] keeps the from-scratch
-//! reference path; both produce identical reports
-//! ([`RemovalReport::same_outcome`]), which the equivalence tests assert
-//! over the full benchmark grids.
+//! [`Cdg::add_flow_deps`]) instead of rebuilding the whole graph from
+//! scratch every iteration.  [`CdgMode::FullRebuild`] keeps the
+//! from-scratch reference path.  Both modes ask the same question of the
+//! CDG — [`Cdg::smallest_cycle`], after the initial build and after every
+//! break — and produce identical reports ([`RemovalReport::same_outcome`]),
+//! which the equivalence tests assert over the full benchmark grids.
 
 use crate::cdg::{Cdg, CdgDelta};
 use crate::cost::{cost_table, CostTable, Direction};
 use crate::report::{BreakStep, CdgDeltaStats, RemovalReport};
-use noc_graph::cycles::IncrementalCycleFinder;
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology, TopologyError};
 use std::collections::HashMap;
@@ -39,32 +38,16 @@ pub enum DirectionPolicy {
     BackwardOnly,
 }
 
-/// Which cycle the loop attacks first.  The paper breaks the smallest cycle
-/// first; the other orders exist for the ablation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CycleOrder {
-    /// Smallest cycle first (the paper's heuristic).
-    #[default]
-    SmallestFirst,
-    /// Largest simple cycle first (bounded enumeration).
-    LargestFirst,
-    /// Whatever cycle the enumeration finds first.
-    FirstFound,
-}
-
 /// How the loop maintains the CDG between cycle breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CdgMode {
     /// Build the CDG once and patch it per iteration with the dependencies
-    /// of the re-routed flows, seeding the next smallest-cycle search from
-    /// the touched vertices.  The default — same answers as
-    /// [`FullRebuild`](Self::FullRebuild), far less work per iteration.
+    /// of the re-routed flows.  The default — same answers as
+    /// [`FullRebuild`](Self::FullRebuild), less work per iteration.
     #[default]
     Incremental,
     /// Rebuild the CDG from the topology and routes every iteration — the
-    /// reference path the incremental engine is checked against, and the
-    /// path the cycle-order ablations always take (their bounded cycle
-    /// enumeration is not incremental).
+    /// reference path the incremental engine is checked against.
     FullRebuild,
 }
 
@@ -73,8 +56,6 @@ pub enum CdgMode {
 pub struct RemovalConfig {
     /// Direction policy (ablation hook; default = both, as in the paper).
     pub direction: DirectionPolicy,
-    /// Cycle selection order (ablation hook; default = smallest first).
-    pub cycle_order: CycleOrder,
     /// Safety bound on the number of cycles broken before giving up.
     pub max_iterations: usize,
     /// CDG maintenance mode (default = incremental).
@@ -85,7 +66,6 @@ impl Default for RemovalConfig {
     fn default() -> Self {
         RemovalConfig {
             direction: DirectionPolicy::Both,
-            cycle_order: CycleOrder::SmallestFirst,
             max_iterations: 100_000,
             cdg_mode: CdgMode::Incremental,
         }
@@ -159,13 +139,7 @@ pub fn remove_deadlocks(
     config: &RemovalConfig,
 ) -> Result<RemovalReport, RemovalError> {
     let mut report = RemovalReport::default();
-
-    // The incremental engine only serves the smallest-cycle order: the
-    // ablation orders rank cycles via the bounded enumeration, which is not
-    // incremental, so they keep the rebuild reference path regardless of
-    // the configured mode.
-    let incremental =
-        config.cdg_mode == CdgMode::Incremental && config.cycle_order == CycleOrder::SmallestFirst;
+    let incremental = config.cdg_mode == CdgMode::Incremental;
     let mut removal_span = noc_telemetry::span("removal", "remove_deadlocks");
     removal_span.arg(
         "cdg_mode",
@@ -175,7 +149,6 @@ pub fn remove_deadlocks(
             "rebuild"
         },
     );
-    let mut finder = IncrementalCycleFinder::new();
 
     // Step 2–3: build the CDG and look for an initial cycle.
     let mut cdg = {
@@ -183,14 +156,7 @@ pub fn remove_deadlocks(
         Cdg::build(topology, routes)
     };
     report.cdg.full_builds = 1;
-    let mut cycle = {
-        let _span = noc_telemetry::span("removal", "cycle_search");
-        if incremental {
-            cdg.smallest_cycle_with(&mut finder)
-        } else {
-            select_cycle(&cdg, config.cycle_order)
-        }
-    };
+    let mut cycle = search_cycle(&cdg);
     if cycle.is_none() {
         report.already_deadlock_free = true;
         return Ok(report);
@@ -263,9 +229,9 @@ pub fn remove_deadlocks(
 
         // Step 12–13: bring the CDG up to date with the re-routed design,
         // then search for the next cycle.
-        cycle = if incremental {
+        if incremental {
             // Only the re-routed flows' dependencies changed: apply their
-            // deltas and seed the next search from the touched vertices.
+            // deltas.
             let mut delta = CdgDelta::default();
             for &channel in &outcome.new_channels {
                 cdg.register_channel(channel, &mut delta);
@@ -278,11 +244,7 @@ pub fn remove_deadlocks(
                     .channels();
                 cdg.add_flow_deps(*flow, new_channels, &mut delta);
             }
-            let touched = delta.touched_nodes();
-            let dirty_nodes = touched.len();
-            for &node in touched {
-                finder.mark_dirty(node);
-            }
+            let dirty_nodes = delta.touched_nodes().len();
             iter_span.arg("dirty_nodes", dirty_nodes);
             noc_telemetry::histogram("removal.dirty_region", dirty_nodes as u64);
             report.cdg.step_deltas.push(CdgDeltaStats {
@@ -291,37 +253,24 @@ pub fn remove_deadlocks(
                 channels_added: delta.channels_added,
                 dirty_nodes,
             });
-            let _span = noc_telemetry::span("removal", "cycle_search");
-            cdg.smallest_cycle_with(&mut finder)
         } else {
             cdg = {
                 let _span = noc_telemetry::span("removal", "cdg_build");
                 Cdg::build(topology, routes)
             };
             report.cdg.full_builds += 1;
-            let _span = noc_telemetry::span("removal", "cycle_search");
-            select_cycle(&cdg, config.cycle_order)
-        };
+        }
+        cycle = search_cycle(&cdg);
     }
 
     Ok(report)
 }
 
-/// Picks the next cycle to break according to the configured order.
-fn select_cycle(cdg: &Cdg, order: CycleOrder) -> Option<Vec<Channel>> {
-    match order {
-        CycleOrder::SmallestFirst => cdg.smallest_cycle(),
-        CycleOrder::LargestFirst => {
-            let mut all = cdg.cycles(256);
-            all.sort_by_key(|c| std::cmp::Reverse(c.len()));
-            all.into_iter().next().or_else(|| cdg.smallest_cycle())
-        }
-        CycleOrder::FirstFound => cdg
-            .cycles(1)
-            .into_iter()
-            .next()
-            .or_else(|| cdg.smallest_cycle()),
-    }
+/// One `GetSmallestCycle` query of Algorithm 1 (Steps 3 and 13).
+fn search_cycle(cdg: &Cdg) -> Option<Vec<Channel>> {
+    let _span = noc_telemetry::span("removal", "cycle_search");
+    noc_telemetry::counter("cycles.queries", 1);
+    cdg.smallest_cycle()
 }
 
 /// What one [`break_cycle`] call did, with the bookkeeping the incremental
@@ -524,19 +473,6 @@ mod tests {
             };
             let report = remove_deadlocks(&mut topo, &mut routes, &config).unwrap();
             assert!(report.added_vcs >= 1);
-            assert!(verify::check_deadlock_free(&topo, &routes).is_ok());
-        }
-    }
-
-    #[test]
-    fn alternative_cycle_orders_also_terminate() {
-        for order in [CycleOrder::LargestFirst, CycleOrder::FirstFound] {
-            let (mut topo, mut routes) = figure_1_design();
-            let config = RemovalConfig {
-                cycle_order: order,
-                ..RemovalConfig::default()
-            };
-            remove_deadlocks(&mut topo, &mut routes, &config).unwrap();
             assert!(verify::check_deadlock_free(&topo, &routes).is_ok());
         }
     }

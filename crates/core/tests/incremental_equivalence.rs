@@ -4,18 +4,20 @@
 //! *same algorithmic outcome* as the from-scratch reference
 //! ([`CdgMode::FullRebuild`]) — same cycles broken, in the same order, with
 //! the same direction choices, VC costs and re-routed flow counts — on
-//! every seeded benchmark grid point of the paper's Figures 8 and 9, plus a
-//! family of random cycle-heavy designs.  This is the
+//! every seeded benchmark grid point of the paper's Figures 8 and 9, on
+//! shortest-path-routed 2D and 3D tori, plus a family of random cycle-heavy
+//! designs.  This is the
 //! incremental == full-rebuild pin that the formal-verification line of
 //! work (Verbeek & Schmaltz) motivates: an incremental optimisation is only
 //! admissible if it is observationally identical to the definition.
 
 use noc_deadlock::removal::{remove_deadlocks, CdgMode, RemovalConfig};
 use noc_deadlock::verify;
+use noc_routing::shortest::route_all_shortest;
 use noc_routing::{Route, RouteSet};
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::benchmarks::Benchmark;
-use noc_topology::{FlowId, Topology};
+use noc_topology::{generators, FlowId, Topology};
 
 /// Runs removal on clones of the design under the given CDG mode and
 /// returns the report together with the repaired design.
@@ -36,7 +38,12 @@ fn run_mode(
 
 /// Asserts the two modes agree on one design: identical outcome report,
 /// identical repaired topology cost and identical re-routed channel lists.
-fn assert_modes_agree(topology: &Topology, routes: &RouteSet, label: &str) {
+/// Returns the incremental report.
+fn assert_modes_agree(
+    topology: &Topology,
+    routes: &RouteSet,
+    label: &str,
+) -> noc_deadlock::RemovalReport {
     let (inc_report, inc_topo, inc_routes) = run_mode(topology, routes, CdgMode::Incremental);
     let (ref_report, ref_topo, ref_routes) = run_mode(topology, routes, CdgMode::FullRebuild);
 
@@ -87,6 +94,7 @@ fn assert_modes_agree(topology: &Topology, routes: &RouteSet, label: &str) {
             "{label}: every added VC enters the CDG exactly once"
         );
     }
+    inc_report
 }
 
 /// Shards the grid across scoped worker threads (the test itself is the
@@ -117,6 +125,27 @@ fn figure_8_grid_incremental_matches_full_rebuild() {
 #[test]
 fn figure_9_grid_incremental_matches_full_rebuild() {
     assert_grid_equivalence(Benchmark::D36x8, 10..=35);
+}
+
+/// Shortest-path routing on a torus closes dependency cycles around every
+/// ring of the wrap-around links: tens of breaks per design, with many
+/// equal-length candidate cycles for the tie-break to choose between.
+#[test]
+fn torus_designs_incremental_matches_full_rebuild() {
+    let tori = [
+        ("torus2d-8x8", generators::torus2d(8, 8, 1.0)),
+        ("torus3d-5x5x5", generators::torus3d(5, 5, 5, 1.0)),
+    ];
+    for (name, generated) in &tori {
+        for seed in 1..=3 {
+            let traffic = generators::uniform_traffic(generated, 4, seed, 1.0);
+            let routes = route_all_shortest(&generated.topology, &traffic.comm, &traffic.map)
+                .expect("tori are strongly connected");
+            let label = format!("{name}/seed {seed}");
+            let report = assert_modes_agree(&generated.topology, &routes, &label);
+            assert!(report.cycles_broken > 0, "{label}: no cycle to break");
+        }
+    }
 }
 
 /// Ring-backbone synthesis is the cycle-heavy stress shape: many breaks per

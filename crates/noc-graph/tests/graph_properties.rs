@@ -162,63 +162,6 @@ fn dijkstra_triangle_inequality() {
     }
 }
 
-/// The incremental finder must return exactly what the stateless global
-/// search returns, across a randomized sequence of edge removals and
-/// additions with dirty marking — the exactness contract the incremental
-/// deadlock-removal loop relies on.
-#[test]
-fn incremental_finder_tracks_global_search_through_random_edits() {
-    let mut rng = SmallRng::seed_from_u64(0xC1C1E);
-    for _ in 0..CASES {
-        let (mut g, nodes) = random_graph(&mut rng, 20, 50);
-        let mut finder = cycles::IncrementalCycleFinder::new();
-        for _ in 0..12 {
-            assert_eq!(
-                finder.smallest_cycle_by(&g, |v| v.index()),
-                cycles::smallest_cycle(&g),
-                "finder diverged from the global search"
-            );
-            // Random edit: remove a live edge or add a fresh one.
-            if rng.gen_range(0..2_usize) == 0 {
-                let live: Vec<_> = g.edges().map(|e| (e.id, e.source, e.target)).collect();
-                if let Some(&(id, a, b)) = live.get(rng.gen_range(0..live.len().max(1))) {
-                    g.remove_edge(id);
-                    finder.mark_dirty(a);
-                    finder.mark_dirty(b);
-                }
-            } else {
-                let a = nodes[rng.gen_range(0..nodes.len())];
-                let b = nodes[rng.gen_range(0..nodes.len())];
-                g.add_edge(a, b, ());
-                finder.mark_dirty(a);
-                finder.mark_dirty(b);
-            }
-        }
-    }
-}
-
-/// Under-marking the dirty region must never change the finder's answer
-/// (the global verification scan is what guarantees exactness; dirty nodes
-/// are only a seed).
-#[test]
-fn incremental_finder_is_exact_even_without_dirty_hints() {
-    let mut rng = SmallRng::seed_from_u64(0x5EED);
-    for _ in 0..CASES {
-        let (mut g, nodes) = random_graph(&mut rng, 15, 35);
-        let mut finder = cycles::IncrementalCycleFinder::new();
-        for _ in 0..8 {
-            assert_eq!(
-                finder.smallest_cycle_by(&g, |v| v.index()),
-                cycles::smallest_cycle(&g),
-            );
-            // Edit without telling the finder anything.
-            let a = nodes[rng.gen_range(0..nodes.len())];
-            let b = nodes[rng.gen_range(0..nodes.len())];
-            g.add_edge(a, b, ());
-        }
-    }
-}
-
 /// The bounded per-node search agrees with the unbounded one whenever the
 /// true cycle fits the bound, and finds nothing when it does not.
 #[test]
