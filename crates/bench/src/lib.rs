@@ -2,9 +2,8 @@
 //!
 //! Each public function regenerates the data behind one figure or one prose
 //! claim of the paper's Section 5 by driving the [`noc_flow`] pipeline API;
-//! the binaries in `src/bin/` print the corresponding rows/series and the
-//! Criterion benches in `benches/` measure the algorithm's runtime (the
-//! paper's "runs within minutes" claim) and the ablations.
+//! the binaries in `src/bin/` print the corresponding rows/series.  The
+//! repository benchmark (`perfbench/`) measures the algorithm's runtime.
 //!
 //! | Paper artefact | Function | Binary |
 //! |---|---|---|
@@ -24,7 +23,6 @@
 use noc_deadlock::cdg::Cdg;
 use noc_deadlock::certify::TrapWitness;
 use noc_deadlock::removal::RemovalConfig;
-use noc_deadlock::report::RemovalReport;
 use noc_flow::json::{ObjectWriter, ToJson};
 use noc_flow::{
     CycleBreaking, DeadlockFreeStage, DeadlockStrategy, DesignFlow, EscapeChannel, FaultRunStats,
@@ -40,7 +38,7 @@ use noc_sim::{
     AdaptiveEscape, AssignedVc, DetectionKind, FaultKind, FaultPlan, Packet, PacketId, SingleVc,
     StormConfig, TrafficConfig, VcSimConfig, VcSimOutcome, VcSimulator,
 };
-use noc_synth::{synthesize, SynthesisConfig, SynthesisError, SynthesizedDesign};
+use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::{generators, CommGraph, CoreMap, FlowId, SwitchId, Topology};
 
@@ -55,16 +53,6 @@ pub struct VcSweepPoint {
     pub deadlock_removal_vcs: usize,
     /// Number of CDG cycles the removal algorithm had to break.
     pub cycles_broken: usize,
-}
-
-/// Synthesizes the benchmark at the given switch count with the default
-/// (spanning-tree backbone) synthesis configuration.
-pub fn synthesize_benchmark(
-    benchmark: Benchmark,
-    switch_count: usize,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let comm = benchmark.comm_graph();
-    synthesize(&comm, &SynthesisConfig::with_switches(switch_count))
 }
 
 /// Regenerates the data of Figures 8 and 9: for each switch count, the VC
@@ -916,15 +904,6 @@ pub fn routed_benchmark(benchmark: Benchmark, switch_count: usize) -> RoutedStag
         .expect("synthesized designs carry default routes")
 }
 
-/// Runs the removal algorithm once on a copy of the design and returns its
-/// report (used by the runtime Criterion bench and the ablation harness).
-pub fn run_removal(design: &SynthesizedDesign, config: &RemovalConfig) -> RemovalReport {
-    let (_, _, resolution) = CycleBreaking::with_config(config.clone())
-        .resolve_cloned(&design.topology, &design.routes)
-        .expect("removal succeeds on the benchmark suite");
-    resolution.removal.expect("cycle breaking reports removal")
-}
-
 /// Number of seeded random designs the `fig_conservatism` artifact and the
 /// three-way agreement harness sweep by default.
 pub const DEFAULT_RANDOM_DESIGNS: usize = 200;
@@ -1105,32 +1084,38 @@ pub fn conservatism_point_for(
         .map(|fixed| fixed.resolution().added_vcs)
         .unwrap_or(0);
 
-    let config = conservatism_sim_config();
-    let vc_map = routed.vc_map();
-    let workload = long_worm_workload(routed.routes(), config.buffer_depth);
-    let outcome = VcSimulator::new(
-        routed.comm(),
-        routed.routes(),
-        &vc_map,
-        &AssignedVc,
-        &config,
-    )
-    .run_workload(&workload);
+    // The runtime leg of the triad, spanned as a whole so workload
+    // construction and simulator setup and teardown are attributed too.
+    let (outcome, witness_attempted, witness_realized) = {
+        let _span = noc_telemetry::span("conservatism", "runtime_check");
+        let config = conservatism_sim_config();
+        let vc_map = routed.vc_map();
+        let workload = long_worm_workload(routed.routes(), config.buffer_depth);
+        let outcome = VcSimulator::new(
+            routed.comm(),
+            routed.routes(),
+            &vc_map,
+            &AssignedVc,
+            &config,
+        )
+        .run_workload(&workload);
 
-    let (witness_attempted, witness_realized) = match report.witness() {
-        Some(witness) => {
-            let replay = witness_replay_workload(routed.routes(), witness, config.buffer_depth);
-            let replayed = VcSimulator::new(
-                routed.comm(),
-                routed.routes(),
-                &vc_map,
-                &AssignedVc,
-                &config,
-            )
-            .run_workload(&replay);
-            (true, fired_wait_for_graph(&replayed))
-        }
-        None => (false, false),
+        let (witness_attempted, witness_realized) = match report.witness() {
+            Some(witness) => {
+                let replay = witness_replay_workload(routed.routes(), witness, config.buffer_depth);
+                let replayed = VcSimulator::new(
+                    routed.comm(),
+                    routed.routes(),
+                    &vc_map,
+                    &AssignedVc,
+                    &config,
+                )
+                .run_workload(&replay);
+                (true, fired_wait_for_graph(&replayed))
+            }
+            None => (false, false),
+        };
+        (outcome, witness_attempted, witness_realized)
     };
 
     ConservatismPoint {
@@ -1223,7 +1208,10 @@ pub fn conservatism_sweep(threads: usize, random_designs: usize) -> Conservatism
     }
     let bench_points =
         noc_flow::executor::parallel_map_ordered(&grid, threads, |&(benchmark, switch_count)| {
-            let routed = routed_benchmark(benchmark, switch_count);
+            let routed = {
+                let _span = noc_telemetry::span("conservatism", "design");
+                routed_benchmark(benchmark, switch_count)
+            };
             conservatism_point_for(&routed, benchmark.name(), switch_count)
         });
     let (d26_points, d36_points): (Vec<_>, Vec<_>) = bench_points
@@ -1232,7 +1220,10 @@ pub fn conservatism_sweep(threads: usize, random_designs: usize) -> Conservatism
 
     let seeds: Vec<u64> = (0..random_designs as u64).collect();
     let random_points = noc_flow::executor::parallel_map_ordered(&seeds, threads, |&seed| {
-        let routed = random_routed_design(seed);
+        let routed = {
+            let _span = noc_telemetry::span("conservatism", "design");
+            random_routed_design(seed)
+        };
         let switch_count = routed.topology().switch_count();
         conservatism_point_for(&routed, "random", switch_count)
     });
@@ -2348,15 +2339,5 @@ mod tests {
                 assert!(recovery_rate.flows_reconfigured >= 1);
             }
         }
-    }
-
-    #[test]
-    fn run_removal_matches_a_direct_flow() {
-        let design = synthesize_benchmark(Benchmark::D36x8, 10).unwrap();
-        let report = run_removal(&design, &RemovalConfig::default());
-        let fixed = routed_benchmark(Benchmark::D36x8, 10)
-            .resolve_deadlocks(&CycleBreaking::default())
-            .unwrap();
-        assert_eq!(report.added_vcs, fixed.resolution().added_vcs);
     }
 }

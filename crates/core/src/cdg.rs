@@ -267,7 +267,7 @@ impl Cdg {
         })
     }
 
-    /// Borrow the underlying graph (e.g. for DOT export in diagnostics).
+    /// Borrow the underlying graph (for SCC, knot and path queries).
     pub fn graph(&self) -> &DiGraph<Channel, Vec<FlowId>> {
         &self.graph
     }
@@ -278,10 +278,7 @@ impl Cdg {
     /// stress workload should press on).  Empty iff the CDG is acyclic.
     /// Sorted, deduplicated.
     pub fn cyclic_flows(&self) -> Vec<FlowId> {
-        // A read-only whole-graph pass: run Tarjan over the frozen CSR view,
-        // whose node ids coincide with the mutable graph's.
-        let frozen = self.graph.freeze();
-        let components = noc_graph::scc::cyclic_components(&frozen);
+        let components = noc_graph::scc::cyclic_components(&self.graph);
         if components.is_empty() {
             return Vec::new();
         }

@@ -96,7 +96,7 @@ pub use certify::{
 };
 pub use escape::{apply_escape_channels, EscapeChannelResult, EscapeError};
 pub use recovery::{apply_recovery_reconfig, RecoveryError, RecoveryResult, RecoveryStep};
-pub use removal::{remove_deadlocks, CdgMode, DirectionPolicy, RemovalConfig, RemovalError};
+pub use removal::{remove_deadlocks, CdgMode, RemovalConfig, RemovalError};
 pub use report::{
     CdgDeltaStats, CdgMaintenanceStats, ReconfigEvent, ReconfigStats, RemovalReport, StrategyKind,
 };

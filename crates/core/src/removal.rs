@@ -17,26 +17,13 @@
 //! which the equivalence tests assert over the full benchmark grids.
 
 use crate::cdg::{Cdg, CdgDelta};
-use crate::cost::{cost_table, CostTable, Direction};
+use crate::cost::{best_break, Direction};
 use crate::report::{BreakStep, CdgDeltaStats, RemovalReport};
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology, TopologyError};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-
-/// Which directions Algorithm 1 is allowed to consider.  The paper always
-/// checks both; the restricted variants exist for the ablation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectionPolicy {
-    /// Check forward and backward and pick the cheaper (the paper's Step 7).
-    #[default]
-    Both,
-    /// Only ever break in the forward direction.
-    ForwardOnly,
-    /// Only ever break in the backward direction.
-    BackwardOnly,
-}
 
 /// How the loop maintains the CDG between cycle breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,8 +41,6 @@ pub enum CdgMode {
 /// Configuration of a removal run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovalConfig {
-    /// Direction policy (ablation hook; default = both, as in the paper).
-    pub direction: DirectionPolicy,
     /// Safety bound on the number of cycles broken before giving up.
     pub max_iterations: usize,
     /// CDG maintenance mode (default = incremental).
@@ -65,7 +50,6 @@ pub struct RemovalConfig {
 impl Default for RemovalConfig {
     fn default() -> Self {
         RemovalConfig {
-            direction: DirectionPolicy::Both,
             max_iterations: 100_000,
             cdg_mode: CdgMode::Incremental,
         }
@@ -172,35 +156,10 @@ pub fn remove_deadlocks(
             });
         }
 
-        // Steps 5–6: cost of breaking in each allowed direction.
-        let forward = matches!(
-            config.direction,
-            DirectionPolicy::Both | DirectionPolicy::ForwardOnly
-        )
-        .then(|| cost_table(&current, routes, Direction::Forward));
-        let backward = matches!(
-            config.direction,
-            DirectionPolicy::Both | DirectionPolicy::BackwardOnly
-        )
-        .then(|| cost_table(&current, routes, Direction::Backward));
-
-        let f_best = forward.as_ref().and_then(CostTable::best);
-        let b_best = backward.as_ref().and_then(CostTable::best);
-
-        // Step 7: pick the cheaper direction (ties favour forward).
-        let (cost, pos, direction) = match (f_best, b_best) {
-            (Some((fc, fp)), Some((bc, bp))) => {
-                if fc <= bc {
-                    (fc, fp, Direction::Forward)
-                } else {
-                    (bc, bp, Direction::Backward)
-                }
-            }
-            (Some((fc, fp)), None) => (fc, fp, Direction::Forward),
-            (None, Some((bc, bp))) => (bc, bp, Direction::Backward),
-            (None, None) => {
-                return Err(RemovalError::InconsistentCycle { cycle: current });
-            }
+        // Steps 5–7: cost both directions and pick the cheaper (ties
+        // favour forward).
+        let Some((cost, pos, direction)) = best_break(&current, routes) else {
+            return Err(RemovalError::InconsistentCycle { cycle: current });
         };
 
         // Steps 8–10: break the cycle by duplicating channels and re-routing.
@@ -464,20 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_only_and_backward_only_policies_also_terminate() {
-        for direction in [DirectionPolicy::ForwardOnly, DirectionPolicy::BackwardOnly] {
-            let (mut topo, mut routes) = figure_1_design();
-            let config = RemovalConfig {
-                direction,
-                ..RemovalConfig::default()
-            };
-            let report = remove_deadlocks(&mut topo, &mut routes, &config).unwrap();
-            assert!(report.added_vcs >= 1);
-            assert!(verify::check_deadlock_free(&topo, &routes).is_ok());
-        }
-    }
-
-    #[test]
     fn iteration_limit_is_enforced() {
         let (mut topo, mut routes) = figure_1_design();
         let config = RemovalConfig {
@@ -537,10 +482,11 @@ mod tests {
 
     /// A design whose only smallest cycle is broken at a dependency that one
     /// flow traverses twice: F0 goes around `A -> B`, detours through W1/W2,
-    /// and crosses `A -> B` again.  F1 and F2 create the other two
-    /// dependencies of the CDG cycle [A, B, C] at forward cost 3 each, so
-    /// the forward cost table is [3, 3, 3] and the tie-break selects the
-    /// doubled dependency `A -> B`.
+    /// and crosses `A -> B` again.  F1 and F2 do the same on `B -> C` and
+    /// `C -> A` (detours Y0/Y1 and Z0/Z1), so every dependency of the CDG
+    /// cycle [A, B, C] costs 3 in both directions and the tie-breaks
+    /// (forward first, then the lowest index) select the doubled
+    /// dependency `A -> B`.
     fn double_crossing_design() -> (Topology, RouteSet) {
         let mut topo = Topology::new();
         let s0 = topo.add_switch("s0");
@@ -559,11 +505,11 @@ mod tests {
         );
         routes.set_route(
             FlowId::from_index(1),
-            noc_routing::Route::new(vec![b, y0, c, y1, b, c]),
+            noc_routing::Route::new(vec![b, c, y0, y1, b, c]),
         );
         routes.set_route(
             FlowId::from_index(2),
-            noc_routing::Route::new(vec![c, z0, a, z1, c, a]),
+            noc_routing::Route::new(vec![c, a, z0, z1, c, a]),
         );
         (topo, routes)
     }
@@ -598,13 +544,11 @@ mod tests {
     #[test]
     fn multi_occurrence_pair_is_fully_rerouted_end_to_end() {
         let (mut topo, mut routes) = double_crossing_design();
-        // Forward-only makes the cost analysis above exact: the first break
-        // attacks the doubled dependency A -> B.
-        let config = RemovalConfig {
-            direction: DirectionPolicy::ForwardOnly,
-            ..RemovalConfig::default()
-        };
-        let report = remove_deadlocks(&mut topo, &mut routes, &config).unwrap();
+        let report = remove_deadlocks(&mut topo, &mut routes, &RemovalConfig::default()).unwrap();
+        // The cost analysis above is exact: the first break attacks the
+        // doubled dependency A -> B.
+        assert_eq!(report.steps[0].direction, Direction::Forward);
+        assert_eq!(report.steps[0].vcs_added, 3);
         assert!(verify::check_deadlock_free(&topo, &routes).is_ok());
         assert_eq!(
             topo.extra_vc_count(),
@@ -620,8 +564,8 @@ mod tests {
     // Pinned outcome of `multi_occurrence_pair_is_fully_rerouted_end_to_end`:
     // the algorithm is fully deterministic, so any change to these numbers
     // is a behavioural change of the removal loop.
-    const PINNED_CYCLES_BROKEN: usize = 6;
-    const PINNED_ADDED_VCS: usize = 11;
+    const PINNED_CYCLES_BROKEN: usize = 4;
+    const PINNED_ADDED_VCS: usize = 9;
 
     #[test]
     fn incremental_cdg_mode_matches_full_rebuild_mode() {

@@ -109,17 +109,8 @@ pub trait DeadlockStrategy: Sync {
 /// (Algorithm 1) with forward/backward cost tables (Algorithm 2).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CycleBreaking {
-    /// Algorithm configuration (direction policy, cycle order, iteration
-    /// bound).
+    /// Algorithm configuration (iteration bound, CDG maintenance mode).
     pub config: RemovalConfig,
-}
-
-impl CycleBreaking {
-    /// Cycle breaking with an explicit [`RemovalConfig`] (used by the
-    /// ablation experiments).
-    pub fn with_config(config: RemovalConfig) -> Self {
-        CycleBreaking { config }
-    }
 }
 
 impl DeadlockStrategy for CycleBreaking {

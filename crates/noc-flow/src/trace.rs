@@ -419,7 +419,7 @@ impl TraceSummary {
             let row = totals.entry(event.cat.as_str()).or_insert((0, 0));
             row.0 += 1;
             if cat_of.get(&event.parent).copied() != Some(event.cat.as_str()) {
-                row.1 += event.dur;
+                row.1 = row.1.saturating_add(event.dur);
             }
         }
         let mut phases: Vec<PhaseRow> = totals
@@ -444,11 +444,11 @@ impl TraceSummary {
                 // somewhere in the process.  Work mostly happens on
                 // executor worker threads while the root span sits on
                 // main, so a same-thread filter would see nothing.
-                let window = (root.ts, root.ts + root.dur);
+                let window = (root.ts, root.ts.saturating_add(root.dur));
                 let mut intervals: Vec<(u64, u64)> = events
                     .iter()
                     .filter(|e| e.seq != root.seq)
-                    .map(|e| (e.ts.max(window.0), (e.ts + e.dur).min(window.1)))
+                    .map(|e| (e.ts.max(window.0), e.ts.saturating_add(e.dur).min(window.1)))
                     .filter(|(lo, hi)| lo < hi)
                     .collect();
                 intervals.sort_unstable();
@@ -465,8 +465,12 @@ impl TraceSummary {
             }
             None => {
                 let lo = events.iter().map(|e| e.ts).min().unwrap_or(0);
-                let hi = events.iter().map(|e| e.ts + e.dur).max().unwrap_or(0);
-                (hi - lo, 0)
+                let hi = events
+                    .iter()
+                    .map(|e| e.ts.saturating_add(e.dur))
+                    .max()
+                    .unwrap_or(0);
+                (hi.saturating_sub(lo), 0)
             }
         };
         TraceSummary {
@@ -661,6 +665,46 @@ mod tests {
         let removal = summary.phases.iter().find(|p| p.cat == "removal").unwrap();
         assert_eq!(removal.spans, 2);
         assert_eq!(removal.total_us, 100);
+    }
+
+    #[test]
+    fn summary_of_saturated_timestamps_does_not_overflow() {
+        // Traces are untrusted input: `ts + dur` of the largest values a
+        // JSON number can carry must saturate, not panic or wrap.
+        let max = u64::MAX;
+        let snapshot = Snapshot {
+            spans: vec![
+                span("a", "sweep", max, max, 1, (1, 2, 0)),
+                span("b", "artifact", max, max, 1, (3, 4, 0)),
+            ],
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            threads: BTreeMap::new(),
+            dropped_spans: 0,
+        };
+        let text = TraceArtifact::new("overflow", &snapshot).render();
+        assert!(text.contains("\"ts\":18446744073709551615"));
+        let summary = TraceSummary::parse(&text).expect("summary parses");
+        assert_eq!(summary.wall_us, max);
+        assert_eq!(summary.attributed_us, 0);
+
+        let event = |seq, parent| ReadEvent {
+            name: "e".into(),
+            cat: "removal".into(),
+            ts: max,
+            dur: max,
+            tid: 1,
+            seq,
+            parent,
+        };
+        // Two unrelated same-category roots: their self times saturate.
+        let summary =
+            TraceSummary::from_events("s".into(), Vec::new(), &[event(1, 0), event(2, 9)]);
+        assert_eq!(summary.phases[0].total_us, max);
+        // No root span: the wall time is the saturated event extent.
+        let summary =
+            TraceSummary::from_events("s".into(), Vec::new(), &[event(1, 9), event(2, 9)]);
+        assert_eq!(summary.wall_us, 0);
     }
 
     #[test]

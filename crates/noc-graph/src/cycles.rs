@@ -25,8 +25,7 @@
 //! maintenance modes, and the final deadlock-freedom check run it from
 //! scratch.  It keeps no state between queries.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
+use crate::digraph::{DiGraph, NodeId};
 use crate::scc;
 use std::collections::VecDeque;
 
@@ -40,7 +39,7 @@ use std::collections::VecDeque;
 /// search the paper describes).  Successors are scanned in ascending node-id
 /// order, so the returned cycle depends only on the edge set (see the
 /// [module docs](self)).
-pub fn shortest_cycle_through<G: GraphView>(graph: &G, start: NodeId) -> Option<Vec<NodeId>> {
+pub fn shortest_cycle_through<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Option<Vec<NodeId>> {
     bounded_cycle_bfs(graph, start, usize::MAX, &NodeId::index)
 }
 
@@ -64,8 +63,8 @@ pub fn shortest_cycle_through<G: GraphView>(graph: &G, start: NodeId) -> Option<
 /// assert_eq!(cycles::shortest_cycle_through_bounded(&g, n[0], 4).unwrap().len(), 4);
 /// assert_eq!(cycles::shortest_cycle_through_bounded(&g, n[0], 3), None);
 /// ```
-pub fn shortest_cycle_through_bounded<G: GraphView>(
-    graph: &G,
+pub fn shortest_cycle_through_bounded<N, E>(
+    graph: &DiGraph<N, E>,
     start: NodeId,
     max_len: usize,
 ) -> Option<Vec<NodeId>> {
@@ -92,7 +91,32 @@ pub fn shortest_cycle_through_bounded<G: GraphView>(
 /// let cycle = cycles::smallest_cycle(&g).unwrap();
 /// assert_eq!(cycle.len(), 2);
 /// ```
-pub fn smallest_cycle<G: GraphView>(graph: &G) -> Option<Vec<NodeId>> {
+///
+/// # Edge cases
+///
+/// A self-loop is a cycle of length **1** and beats every longer cycle; a
+/// pair of antiparallel edges is a cycle of length 2; parallel edges do
+/// *not* create a 2-cycle on their own (both point the same way); and an
+/// empty or edge-free graph has no cycle at all:
+///
+/// ```
+/// use noc_graph::{DiGraph, cycles};
+///
+/// let len = |g: &DiGraph<(), ()>| cycles::smallest_cycle(g).map(|c| c.len());
+/// let mut g: DiGraph<(), ()> = DiGraph::new();
+/// assert_eq!(len(&g), None);            // empty graph
+/// let a = g.add_node(());
+/// let b = g.add_node(());
+/// assert_eq!(len(&g), None);            // no edges yet
+/// g.add_edge(a, b, ());
+/// g.add_edge(a, b, ());
+/// assert_eq!(len(&g), None);            // parallel edges, still acyclic
+/// g.add_edge(b, a, ());
+/// assert_eq!(len(&g), Some(2));         // antiparallel pair
+/// g.add_edge(b, b, ());
+/// assert_eq!(len(&g), Some(1));         // self-loop wins
+/// ```
+pub fn smallest_cycle<N, E>(graph: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
     smallest_cycle_by(graph, NodeId::index)
 }
 
@@ -113,8 +137,8 @@ pub fn smallest_cycle<G: GraphView>(graph: &G) -> Option<Vec<NodeId>> {
 /// later start vertex can only win with a strictly shorter cycle.  That
 /// pruning reproduces the (length, rank)-lexicographic tie-break of the
 /// unpruned per-vertex search.
-pub fn smallest_cycle_by<G: GraphView, K: Ord>(
-    graph: &G,
+pub fn smallest_cycle_by<N, E, K: Ord>(
+    graph: &DiGraph<N, E>,
     rank: impl Fn(NodeId) -> K,
 ) -> Option<Vec<NodeId>> {
     let mut nodes: Vec<NodeId> = {
@@ -140,45 +164,15 @@ pub fn smallest_cycle_by<G: GraphView, K: Ord>(
 }
 
 /// Returns `true` if the graph contains no directed cycle.
-pub fn is_acyclic<G: GraphView>(graph: &G) -> bool {
+pub fn is_acyclic<N, E>(graph: &DiGraph<N, E>) -> bool {
     !scc::has_cycle(graph)
-}
-
-/// Returns the length (node count) of the smallest cycle, or `None` for an
-/// acyclic graph.  Convenience wrapper over [`smallest_cycle`].
-///
-/// # Edge cases
-///
-/// A self-loop is a cycle of length **1** and beats every longer cycle; a
-/// pair of antiparallel edges is a cycle of length 2; parallel edges do
-/// *not* create a 2-cycle on their own (both point the same way); and an
-/// empty or edge-free graph has no girth at all:
-///
-/// ```
-/// use noc_graph::{DiGraph, cycles};
-///
-/// let mut g: DiGraph<(), ()> = DiGraph::new();
-/// assert_eq!(cycles::girth(&g), None);            // empty graph
-/// let a = g.add_node(());
-/// let b = g.add_node(());
-/// assert_eq!(cycles::girth(&g), None);            // no edges yet
-/// g.add_edge(a, b, ());
-/// g.add_edge(a, b, ());
-/// assert_eq!(cycles::girth(&g), None);            // parallel edges, still acyclic
-/// g.add_edge(b, a, ());
-/// assert_eq!(cycles::girth(&g), Some(2));         // antiparallel pair
-/// g.add_edge(b, b, ());
-/// assert_eq!(cycles::girth(&g), Some(1));         // self-loop wins
-/// ```
-pub fn girth<G: GraphView>(graph: &G) -> Option<usize> {
-    smallest_cycle(graph).map(|c| c.len())
 }
 
 /// Canonical bounded BFS: the shortest cycle through `start` of at most
 /// `max_len` nodes, scanning successors in ascending `rank` order so the
 /// result depends only on the edge set.
-fn bounded_cycle_bfs<G: GraphView, K: Ord>(
-    graph: &G,
+fn bounded_cycle_bfs<N, E, K: Ord>(
+    graph: &DiGraph<N, E>,
     start: NodeId,
     max_len: usize,
     rank: &impl Fn(NodeId) -> K,
@@ -235,7 +229,6 @@ fn bounded_cycle_bfs<G: GraphView, K: Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     fn ring(n: usize) -> (DiGraph<usize, ()>, Vec<NodeId>) {
         let mut g = DiGraph::new();
@@ -254,7 +247,6 @@ mod tests {
         g.add_edge(a, b, ());
         assert!(smallest_cycle(&g).is_none());
         assert!(is_acyclic(&g));
-        assert_eq!(girth(&g), None);
     }
 
     #[test]
@@ -292,7 +284,6 @@ mod tests {
         g.add_edge(a, a, ());
         let cycle = smallest_cycle(&g).unwrap();
         assert_eq!(cycle, vec![a]);
-        assert_eq!(girth(&g), Some(1));
     }
 
     #[test]
@@ -413,10 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn girth_of_ring_equals_its_length() {
+    fn smallest_cycle_of_a_ring_is_the_whole_ring() {
         for n in 2..8 {
             let (g, _) = ring(n);
-            assert_eq!(girth(&g), Some(n));
+            assert_eq!(smallest_cycle(&g).map(|c| c.len()), Some(n));
         }
     }
 }

@@ -151,13 +151,6 @@ impl<N, E> DiGraph<N, E> {
         self.edges.reserve(additional_edges);
     }
 
-    /// Freezes the live edges into a cache-friendly CSR view; see
-    /// [`CsrGraph`](crate::csr::CsrGraph) for the shared-id and
-    /// iteration-order guarantees.
-    pub fn freeze(&self) -> crate::csr::CsrGraph {
-        crate::csr::CsrGraph::freeze(self)
-    }
-
     /// Adds a node with the given payload and returns its id.
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId(self.nodes.len());

@@ -14,8 +14,7 @@
 //! cyclic knot, otherwise some worm has an escape and the configuration
 //! drains.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
+use crate::digraph::{DiGraph, NodeId};
 use crate::scc::tarjan_scc;
 
 /// The strongly-connected components of `graph` with no edge leaving the
@@ -24,7 +23,7 @@ use crate::scc::tarjan_scc;
 ///
 /// Every graph with at least one node has at least one sink component; a
 /// trivial single node with no outgoing edges is one.
-pub fn sink_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+pub fn sink_components<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let components = tarjan_scc(graph);
     let mut component_of = vec![usize::MAX; graph.node_count()];
     for (index, component) in components.iter().enumerate() {
@@ -49,7 +48,7 @@ pub fn sink_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
 /// The **cyclic knots** of `graph`: sink components that contain a cycle
 /// (more than one node, or a single node with a self-loop).  Empty iff every
 /// cycle of the graph can reach an escape successor outside its component.
-pub fn knots<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+pub fn knots<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     sink_components(graph)
         .into_iter()
         .filter(|component| component.len() > 1 || component.iter().any(|&n| graph.has_edge(n, n)))
@@ -59,14 +58,13 @@ pub fn knots<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
 /// `true` when `graph` contains no cyclic knot — every node can reach a node
 /// that is outside every cycle, so no inescapable waiting configuration
 /// exists.
-pub fn is_knot_free<G: GraphView>(graph: &G) -> bool {
+pub fn is_knot_free<N, E>(graph: &DiGraph<N, E>) -> bool {
     knots(graph).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     fn graph(nodes: usize, edges: &[(usize, usize)]) -> DiGraph<usize, ()> {
         let mut g = DiGraph::new();

@@ -8,15 +8,13 @@
 //!
 //! * [`DiGraph`] — a compact adjacency-list directed multigraph with stable
 //!   node and edge identifiers,
-//! * [`CsrGraph`] — a frozen compressed-sparse-row view of a [`DiGraph`] for
-//!   cache-friendly read-only passes, abstracted over by [`GraphView`],
-//! * breadth-first and depth-first [`traversal`],
+//! * breadth-first [`traversal`] (shortest hop paths, weak connectivity),
 //! * Tarjan strongly-connected components ([`scc`]),
 //! * cycle search ([`cycles`]) including the per-vertex BFS "smallest cycle"
 //!   search used by the paper's `GetSmallestCycle`,
 //! * Dijkstra shortest paths ([`shortest_path`]),
-//! * topological ordering / acyclicity checks ([`topo`]),
-//! * Graphviz export ([`dot`]).
+//! * knot (sink-component) detection ([`knots`]),
+//! * topological ordering / acyclicity checks ([`topo`]).
 //!
 //! # Example
 //!
@@ -38,15 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod cycles;
 pub mod digraph;
-pub mod dot;
 pub mod knots;
 pub mod scc;
 pub mod shortest_path;
 pub mod topo;
 pub mod traversal;
 
-pub use csr::{CsrGraph, GraphView};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};

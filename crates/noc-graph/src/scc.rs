@@ -5,18 +5,13 @@
 //! a fast acyclicity check and is also used to restrict expensive cycle
 //! enumeration to the component that actually contains cycles.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
+use crate::digraph::{DiGraph, NodeId};
 
 /// Computes the strongly-connected components of `graph`.
 ///
 /// Components are returned in reverse topological order of the condensation
 /// (i.e. a component only depends on components that appear *before* it in
 /// the returned vector).  Every node appears in exactly one component.
-///
-/// Generic over [`GraphView`]: runs on both the mutable
-/// [`DiGraph`](crate::DiGraph) and a frozen [`CsrGraph`](crate::CsrGraph)
-/// with identical output (freezing preserves successor iteration order).
 ///
 /// # Example
 ///
@@ -33,7 +28,7 @@ use crate::digraph::NodeId;
 /// let comps = scc::tarjan_scc(&g);
 /// assert_eq!(comps.len(), 2);
 /// ```
-pub fn tarjan_scc<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+pub fn tarjan_scc<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let n = graph.node_count();
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![usize::MAX; n];
@@ -117,7 +112,7 @@ pub fn tarjan_scc<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
 
 /// Returns the strongly-connected components that can contain a cycle:
 /// components with more than one node, plus single nodes with a self-loop.
-pub fn cyclic_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+pub fn cyclic_components<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     tarjan_scc(graph)
         .into_iter()
         .filter(|comp| comp.len() > 1 || (comp.len() == 1 && graph.has_edge(comp[0], comp[0])))
@@ -125,14 +120,13 @@ pub fn cyclic_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
 }
 
 /// Returns `true` if the graph contains at least one directed cycle.
-pub fn has_cycle<G: GraphView>(graph: &G) -> bool {
+pub fn has_cycle<N, E>(graph: &DiGraph<N, E>) -> bool {
     !cyclic_components(graph).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     #[test]
     fn dag_has_trivial_components() {

@@ -4,8 +4,7 @@
 //! minimum-cost paths over the switch graph, where the cost of a link can be
 //! hop count, inverse bandwidth or an arbitrary user-provided weight.
 
-use crate::csr::GraphView;
-use crate::digraph::{DiGraph, EdgeId, NodeId};
+use crate::digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -82,32 +81,7 @@ impl ShortestPaths {
 pub fn dijkstra<N, E>(
     graph: &DiGraph<N, E>,
     source: NodeId,
-    mut edge_cost: impl FnMut(crate::digraph::EdgeRef<'_, E>) -> Option<u64>,
-) -> ShortestPaths {
-    dijkstra_arcs(graph, source, |id, from, to| {
-        let weight = graph
-            .edge_weight(id)
-            .expect("arcs reported by the graph view are live");
-        edge_cost(crate::digraph::EdgeRef {
-            id,
-            source: from,
-            target: to,
-            weight,
-        })
-    })
-}
-
-/// Dijkstra over any [`GraphView`] representation, weighing each arc by
-/// `arc_cost(edge id, source, target)`.
-///
-/// This is the representation-agnostic core behind [`dijkstra`]: on a frozen
-/// [`CsrGraph`](crate::CsrGraph) the per-node arc scan is one contiguous
-/// slice, which is what the all-source route computations at 10k+ switches
-/// run on.  Arcs mapped to `None` are skipped, exactly as in [`dijkstra`].
-pub fn dijkstra_arcs<G: GraphView>(
-    graph: &G,
-    source: NodeId,
-    mut arc_cost: impl FnMut(EdgeId, NodeId, NodeId) -> Option<u64>,
+    mut edge_cost: impl FnMut(EdgeRef<'_, E>) -> Option<u64>,
 ) -> ShortestPaths {
     let n = graph.node_count();
     let mut dist: Vec<Option<u64>> = vec![None; n];
@@ -122,14 +96,15 @@ pub fn dijkstra_arcs<G: GraphView>(
             continue; // stale entry
         }
         let node = NodeId::from_index(idx);
-        for (edge, next) in graph.out_arcs(node) {
-            let Some(cost) = arc_cost(edge, node, next) else {
+        for edge in graph.out_edges(node) {
+            let Some(cost) = edge_cost(edge) else {
                 continue;
             };
+            let next = edge.target;
             let nd = d.saturating_add(cost);
             if dist[next.index()].is_none_or(|old| nd < old) {
                 dist[next.index()] = Some(nd);
-                parent[next.index()] = Some((node, edge));
+                parent[next.index()] = Some((node, edge.id));
                 heap.push(Reverse((nd, next.index())));
             }
         }
@@ -142,8 +117,8 @@ pub fn dijkstra_arcs<G: GraphView>(
 }
 
 /// Convenience wrapper: Dijkstra where every edge costs 1 (hop count).
-pub fn hop_distances<G: GraphView>(graph: &G, source: NodeId) -> ShortestPaths {
-    dijkstra_arcs(graph, source, |_, _, _| Some(1))
+pub fn hop_distances<N, E>(graph: &DiGraph<N, E>, source: NodeId) -> ShortestPaths {
+    dijkstra(graph, source, |_| Some(1))
 }
 
 #[cfg(test)]

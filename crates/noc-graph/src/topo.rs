@@ -54,27 +54,6 @@ pub fn is_dag<N, E>(graph: &DiGraph<N, E>) -> bool {
     topological_sort(graph).is_some()
 }
 
-/// Longest path length (in edges) in a DAG, or `None` if the graph is cyclic.
-///
-/// Used by the resource-ordering baseline: the number of channel classes a
-/// network needs is the length of the longest route, which is bounded by the
-/// longest path of the (acyclic) route-order relation.
-pub fn longest_path_len<N, E>(graph: &DiGraph<N, E>) -> Option<usize> {
-    let order = topological_sort(graph)?;
-    let mut best = vec![0usize; graph.node_count()];
-    let mut overall = 0;
-    for node in order {
-        let here = best[node.index()];
-        for succ in graph.successors(node) {
-            if here + 1 > best[succ.index()] {
-                best[succ.index()] = here + 1;
-                overall = overall.max(here + 1);
-            }
-        }
-    }
-    Some(overall)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +85,6 @@ mod tests {
         g.add_edge(b, a, ());
         assert_eq!(topological_sort(&g), None);
         assert!(!is_dag(&g));
-        assert_eq!(longest_path_len(&g), None);
     }
 
     #[test]
@@ -114,17 +92,6 @@ mod tests {
         let g: DiGraph<(), ()> = DiGraph::new();
         assert_eq!(topological_sort(&g), Some(vec![]));
         assert!(is_dag(&g));
-        assert_eq!(longest_path_len(&g), Some(0));
-    }
-
-    #[test]
-    fn longest_path_of_a_chain() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..6).map(|_| g.add_node(())).collect();
-        for w in n.windows(2) {
-            g.add_edge(w[0], w[1], ());
-        }
-        assert_eq!(longest_path_len(&g), Some(5));
     }
 
     #[test]

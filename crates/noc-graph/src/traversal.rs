@@ -1,12 +1,13 @@
-//! Breadth-first and depth-first traversal over any [`GraphView`]
-//! representation ([`DiGraph`](crate::DiGraph) or a frozen
-//! [`CsrGraph`](crate::CsrGraph)).
+//! Breadth-first traversal over a [`DiGraph`]: shortest hop paths and weak
+//! connectivity.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
+use crate::digraph::{DiGraph, NodeId};
 use std::collections::VecDeque;
 
-/// Returns the nodes reachable from `start` (including `start`) in BFS order.
+/// BFS shortest path (in hops) from `source` to `target`.
+///
+/// Returns the node sequence including both endpoints, or `None` if `target`
+/// is unreachable.
 ///
 /// # Example
 ///
@@ -18,71 +19,14 @@ use std::collections::VecDeque;
 /// let b = g.add_node(());
 /// let c = g.add_node(());
 /// g.add_edge(a, b, ());
-/// let order = traversal::bfs_order(&g, a);
-/// assert_eq!(order, vec![a, b]);
-/// assert!(!order.contains(&c));
+/// assert_eq!(traversal::bfs_path(&g, a, b), Some(vec![a, b]));
+/// assert_eq!(traversal::bfs_path(&g, a, c), None);
 /// ```
-pub fn bfs_order<G: GraphView>(graph: &G, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    if !graph.contains_node(start) {
-        return order;
-    }
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(node) = queue.pop_front() {
-        order.push(node);
-        for succ in graph.successors(node) {
-            if !visited[succ.index()] {
-                visited[succ.index()] = true;
-                queue.push_back(succ);
-            }
-        }
-    }
-    order
-}
-
-/// Returns the nodes reachable from `start` in depth-first preorder.
-pub fn dfs_preorder<G: GraphView>(graph: &G, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut stack = Vec::new();
-    if !graph.contains_node(start) {
-        return order;
-    }
-    stack.push(start);
-    while let Some(node) = stack.pop() {
-        if visited[node.index()] {
-            continue;
-        }
-        visited[node.index()] = true;
-        order.push(node);
-        // Push successors in reverse so the first successor is visited first.
-        let succs: Vec<_> = graph.successors(node).collect();
-        for succ in succs.into_iter().rev() {
-            if !visited[succ.index()] {
-                stack.push(succ);
-            }
-        }
-    }
-    order
-}
-
-/// Returns `true` if `target` is reachable from `source` following directed
-/// edges (a node is always reachable from itself).
-pub fn is_reachable<G: GraphView>(graph: &G, source: NodeId, target: NodeId) -> bool {
-    if source == target {
-        return graph.contains_node(source);
-    }
-    bfs_order(graph, source).contains(&target)
-}
-
-/// BFS shortest path (in hops) from `source` to `target`.
-///
-/// Returns the node sequence including both endpoints, or `None` if `target`
-/// is unreachable.
-pub fn bfs_path<G: GraphView>(graph: &G, source: NodeId, target: NodeId) -> Option<Vec<NodeId>> {
+pub fn bfs_path<N, E>(
+    graph: &DiGraph<N, E>,
+    source: NodeId,
+    target: NodeId,
+) -> Option<Vec<NodeId>> {
     if !graph.contains_node(source) || !graph.contains_node(target) {
         return None;
     }
@@ -118,7 +62,7 @@ pub fn bfs_path<G: GraphView>(graph: &G, source: NodeId, target: NodeId) -> Opti
 
 /// Returns `true` if every node is reachable from every other node when edge
 /// direction is ignored (weak connectivity).  An empty graph is connected.
-pub fn is_weakly_connected<G: GraphView>(graph: &G) -> bool {
+pub fn is_weakly_connected<N, E>(graph: &DiGraph<N, E>) -> bool {
     let n = graph.node_count();
     if n <= 1 {
         return true;
@@ -148,7 +92,6 @@ pub fn is_weakly_connected<G: GraphView>(graph: &G) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     fn chain(n: usize) -> (DiGraph<usize, ()>, Vec<NodeId>) {
         let mut g = DiGraph::new();
@@ -161,6 +104,8 @@ mod tests {
 
     #[test]
     fn bfs_visits_in_level_order() {
+        // Diamond a -> {b, c} -> d: d is first reached from b, the earlier
+        // successor of the first BFS level.
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
@@ -170,32 +115,16 @@ mod tests {
         g.add_edge(a, c, ());
         g.add_edge(b, d, ());
         g.add_edge(c, d, ());
-        let order = bfs_order(&g, a);
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], a);
-        assert_eq!(order[3], d);
-    }
-
-    #[test]
-    fn dfs_preorder_follows_first_branch() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        let d = g.add_node(());
-        g.add_edge(a, b, ());
-        g.add_edge(b, d, ());
-        g.add_edge(a, c, ());
-        let order = dfs_preorder(&g, a);
-        assert_eq!(order, vec![a, b, d, c]);
+        assert_eq!(bfs_path(&g, a, d), Some(vec![a, b, d]));
+        assert_eq!(bfs_path(&g, a, c), Some(vec![a, c]));
     }
 
     #[test]
     fn reachability_in_a_chain() {
         let (g, n) = chain(5);
-        assert!(is_reachable(&g, n[0], n[4]));
-        assert!(!is_reachable(&g, n[4], n[0]));
-        assert!(is_reachable(&g, n[2], n[2]));
+        assert_eq!(bfs_path(&g, n[0], n[4]), Some(n.clone()));
+        assert_eq!(bfs_path(&g, n[4], n[0]), None);
+        assert_eq!(bfs_path(&g, n[2], n[2]), Some(vec![n[2]]));
     }
 
     #[test]
@@ -236,7 +165,8 @@ mod tests {
         let (mut g, n) = chain(4);
         let e = g.find_edge(n[1], n[2]).unwrap();
         g.remove_edge(e);
-        assert!(!is_reachable(&g, n[0], n[3]));
-        assert_eq!(bfs_order(&g, n[0]), vec![n[0], n[1]]);
+        assert_eq!(bfs_path(&g, n[0], n[3]), None);
+        assert_eq!(bfs_path(&g, n[0], n[1]), Some(vec![n[0], n[1]]));
+        assert_eq!(bfs_path(&g, n[2], n[3]), Some(vec![n[2], n[3]]));
     }
 }

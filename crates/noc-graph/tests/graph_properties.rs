@@ -194,63 +194,3 @@ fn bounded_cycle_search_is_consistent_with_unbounded() {
         }
     }
 }
-
-/// Canonicalizes a Tarjan partition: members ascending within each
-/// component, components ordered by smallest member.
-fn canonical(mut comps: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
-    for c in &mut comps {
-        c.sort();
-    }
-    comps.sort_by_key(|c| c[0]);
-    comps
-}
-
-/// The frozen CSR view must give every algorithm the same answer as the
-/// mutable adjacency-list graph it was built from — cycles, SCCs, knots
-/// and hop distances.
-#[test]
-fn csr_view_is_equivalent_to_digraph() {
-    let mut rng = SmallRng::seed_from_u64(0xC5A);
-    for _ in 0..CASES {
-        let (g, nodes) = random_graph(&mut rng, 24, 80);
-        let frozen = g.freeze();
-        assert_eq!(cycles::smallest_cycle(&frozen), cycles::smallest_cycle(&g));
-        assert_eq!(
-            canonical(scc::tarjan_scc(&frozen)),
-            canonical(scc::tarjan_scc(&g))
-        );
-        assert_eq!(
-            canonical(noc_graph::knots::knots(&frozen)),
-            canonical(noc_graph::knots::knots(&g))
-        );
-        let src = nodes[0];
-        let sp_g = shortest_path::hop_distances(&g, src);
-        let sp_c = shortest_path::hop_distances(&frozen, src);
-        for &dst in &nodes {
-            assert_eq!(sp_g.distance(dst), sp_c.distance(dst));
-        }
-    }
-}
-
-/// Freezing preserves the exact live-edge iteration order per node, so
-/// order-sensitive searches (the canonical smallest-cycle contract) cannot
-/// drift between the two representations.
-#[test]
-fn csr_preserves_successor_order() {
-    use noc_graph::GraphView;
-    let mut rng = SmallRng::seed_from_u64(0x0D8);
-    for _ in 0..CASES {
-        let (mut g, nodes) = random_graph(&mut rng, 20, 60);
-        // Punch some holes so the free-list / tombstone paths are exercised.
-        let live: Vec<_> = g.edges().map(|e| e.id).collect();
-        for id in live.iter().step_by(3) {
-            g.remove_edge(*id);
-        }
-        let frozen = g.freeze();
-        for &v in &nodes {
-            let from_g: Vec<NodeId> = g.successors(v).collect();
-            let from_c: Vec<NodeId> = frozen.successors(v).collect();
-            assert_eq!(from_g, from_c);
-        }
-    }
-}
