@@ -24,6 +24,31 @@
 //! `GetSmallestCycle` query of the removal loop, in both of its CDG
 //! maintenance modes, and the final deadlock-freedom check run it from
 //! scratch.  It keeps no state between queries.
+//!
+//! # What counts as a cycle
+//!
+//! A self-loop is a cycle of length **1** and beats every longer cycle; a
+//! pair of antiparallel edges is a cycle of length 2; parallel edges do
+//! *not* create a 2-cycle on their own (both point the same way); and an
+//! empty or edge-free graph has no cycle at all:
+//!
+//! ```
+//! use noc_graph::{DiGraph, cycles};
+//!
+//! let len = |g: &DiGraph<(), ()>| cycles::smallest_cycle(g).map(|c| c.len());
+//! let mut g: DiGraph<(), ()> = DiGraph::new();
+//! assert_eq!(len(&g), None);            // empty graph
+//! let a = g.add_node(());
+//! let b = g.add_node(());
+//! assert_eq!(len(&g), None);            // no edges yet
+//! g.add_edge(a, b, ());
+//! g.add_edge(a, b, ());
+//! assert_eq!(len(&g), None);            // parallel edges, still acyclic
+//! g.add_edge(b, a, ());
+//! assert_eq!(len(&g), Some(2));         // antiparallel pair
+//! g.add_edge(b, b, ());
+//! assert_eq!(len(&g), Some(1));         // self-loop wins
+//! ```
 
 use crate::digraph::{DiGraph, NodeId};
 use crate::scc;
@@ -92,30 +117,8 @@ pub fn shortest_cycle_through_bounded<N, E>(
 /// assert_eq!(cycle.len(), 2);
 /// ```
 ///
-/// # Edge cases
-///
-/// A self-loop is a cycle of length **1** and beats every longer cycle; a
-/// pair of antiparallel edges is a cycle of length 2; parallel edges do
-/// *not* create a 2-cycle on their own (both point the same way); and an
-/// empty or edge-free graph has no cycle at all:
-///
-/// ```
-/// use noc_graph::{DiGraph, cycles};
-///
-/// let len = |g: &DiGraph<(), ()>| cycles::smallest_cycle(g).map(|c| c.len());
-/// let mut g: DiGraph<(), ()> = DiGraph::new();
-/// assert_eq!(len(&g), None);            // empty graph
-/// let a = g.add_node(());
-/// let b = g.add_node(());
-/// assert_eq!(len(&g), None);            // no edges yet
-/// g.add_edge(a, b, ());
-/// g.add_edge(a, b, ());
-/// assert_eq!(len(&g), None);            // parallel edges, still acyclic
-/// g.add_edge(b, a, ());
-/// assert_eq!(len(&g), Some(2));         // antiparallel pair
-/// g.add_edge(b, b, ());
-/// assert_eq!(len(&g), Some(1));         // self-loop wins
-/// ```
+/// For self-loops, antiparallel and parallel edges and empty graphs see
+/// [what counts as a cycle](self#what-counts-as-a-cycle).
 pub fn smallest_cycle<N, E>(graph: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
     smallest_cycle_by(graph, NodeId::index)
 }
